@@ -176,6 +176,29 @@ let report_group ~group title test =
   Commx_util.Tab.print tab;
   rows
 
+(* Time [reps] whole runs of [f]: the best wall and the last result. *)
+let best_of reps f =
+  let best = ref infinity and last = ref None in
+  for _ = 1 to reps do
+    let t0 = Commx_util.Clock.now_s () in
+    let r = f () in
+    best := Float.min !best (Commx_util.Clock.now_s () -. t0);
+    last := Some r
+  done;
+  (!best, Option.get !last)
+
+(* Exact-CC variants change how fast a search converges, never what it
+   computes: every row must carry the same value. *)
+let require_one_value group rows =
+  let values =
+    List.filter_map
+      (function Json.Obj kvs -> List.assoc_opt "value" kvs | _ -> None)
+      rows
+  in
+  match values with
+  | v :: rest when List.for_all (( = ) v) rest -> rows
+  | _ -> failwith (group ^ ": variants disagree on the exact CC value")
+
 (* B7: the exact-CC engine's three optimizations toggled off one at a
    time, plus a deliberately starved table to exercise the eviction
    path.  A single searching instance is the unit of work (a 9x9
@@ -188,9 +211,8 @@ let b7_exact_cc () =
   let module E = Commx_comm.Exact_cc in
   let g = Prng.create 9003 in
   let m = Bm.init 9 9 (fun _ _ -> Prng.float g < 0.18) in
-  let cfg ~table ~canonicalize ~prune ?(portfolio = true)
-      ?(share_incumbent = true) ?table_budget () =
-    { E.table; canonicalize; prune; portfolio; share_incumbent; table_budget }
+  let cfg ~table ~canonicalize ~prune ?(portfolio = true) ?table_budget () =
+    { E.table; canonicalize; prune; portfolio; table_budget }
   in
   let variants =
     [ ("full", E.default_config, 5);
@@ -210,28 +232,17 @@ let b7_exact_cc () =
   let rows =
     List.map
       (fun (name, config, reps) ->
-        let best = ref infinity in
-        let value = ref (-1) in
-        let last = ref None in
-        for _ = 1 to reps do
-          let t0 = Commx_util.Clock.now_s () in
-          let v, st = E.search ~config m in
-          let dt = Commx_util.Clock.now_s () -. t0 in
-          if dt < !best then best := dt;
-          value := v;
-          last := Some st
-        done;
-        let st = Option.get !last in
+        let wall, (v, st) = best_of reps (fun () -> E.search ~config m) in
         Commx_util.Tab.add_row tab
           [ name;
-            Commx_util.Tab.fmt_float ~digits:4 !best;
-            string_of_int !value;
+            Commx_util.Tab.fmt_float ~digits:4 wall;
+            string_of_int v;
             string_of_int st.E.nodes;
             string_of_int st.E.table_hits;
             string_of_int st.E.table_evictions ];
         Json.Obj
           [ ("group", Json.String "B7"); ("bench", Json.String ("exact-cc/" ^ name));
-            ("wall_s", Json.Float !best); ("value", Json.Int !value);
+            ("wall_s", Json.Float wall); ("value", Json.Int v);
             ("nodes", Json.Int st.E.nodes);
             ("table_hits", Json.Int st.E.table_hits);
             ("table_misses", Json.Int st.E.table_misses);
@@ -239,37 +250,26 @@ let b7_exact_cc () =
       variants
   in
   Commx_util.Tab.print tab;
-  (* All ablations must agree on the exact value — they only change how
-     fast the search converges, never what it computes. *)
-  let values =
-    List.filter_map
-      (function Json.Obj kvs -> List.assoc_opt "value" kvs | _ -> None)
-      rows
-  in
-  (match values with
-  | v :: rest when List.for_all (( = ) v) rest -> ()
-  | _ -> failwith "B7: ablation configs disagree on the exact CC value");
-  rows
+  require_one_value "B7" rows
 
-(* B7-pool: the parallel layer's PR 10 changes ablated against the
-   PR 4 engine they replace.  The board is a 12x12 GF(2) rank-5
+(* B7-pool: the pooled work-stealing driver against the sequential
+   search it exists to speed up.  The board is a 12x12 GF(2) rank-5
    product (inner products of random 5-bit vectors) whose canonical
-   9x10 form has 766 root moves — enough to spread over every strided
-   group / worker deque — and whose exact CC equals its trivial upper
-   bound, so the search is pure exhaustion: no lucky witness ends a
-   run early and wall-clock is stable enough to gate.  The grid
-   crosses the driver (strided vs work-stealing) with the lower-bound
-   portfolio; "strided-baseline" additionally isolates group
-   incumbents ([share_incumbent = false]), which reproduces the PR 4
-   parallel engine node-for-node.  Strided node counts are
-   jobs-invariant and emitted as [nodes]; stealing counts depend on
-   scheduling, so those rows emit [steal_nodes] and the perf gate
-   checks only the relational claim — steal-portfolio must beat the
-   strided baseline on wall-clock. *)
+   9x10 form has 766 root moves — enough to spread over every worker
+   deque — and whose exact CC equals its trivial upper bound, so the
+   search is pure exhaustion: no lucky witness ends a run early and
+   wall-clock is stable enough to gate.  The sequential row's node
+   count is jobs-invariant and emitted as [nodes]; pooled counts
+   depend on scheduling, so those rows emit [steal_nodes].  The perf
+   gate checks the relational claim: steal-portfolio must beat
+   seq-portfolio on wall-clock, so every row is timed best of 3.  The
+   job count is capped at the machine's recommended domain count —
+   more domains than cores would measure oversubscription, not
+   speed-up. *)
 let b7_pool_ablation () =
   let module E = Commx_comm.Exact_cc in
   let module Pool = Commx_util.Pool in
-  let jobs = 4 in
+  let jobs = min 4 (Domain.recommended_domain_count ()) in
   let m =
     let g = Prng.create 50035 in
     let k = 5 and n = 12 in
@@ -281,18 +281,14 @@ let b7_pool_ablation () =
         in
         parity (a.(i) land b.(j)) 0 = 1)
   in
-  let cfg ~share_incumbent ~portfolio =
-    { E.default_config with share_incumbent; portfolio }
-  in
   let variants =
-    [ ( "pool-strided-baseline", true,
-        cfg ~share_incumbent:false ~portfolio:false );
-      ("pool-strided-portfolio", true, cfg ~share_incumbent:true ~portfolio:true);
-      ("pool-steal-no-portfolio", false, cfg ~share_incumbent:true ~portfolio:false);
-      ("pool-steal-portfolio", false, cfg ~share_incumbent:true ~portfolio:true) ]
+    [ ("seq-portfolio", false, E.default_config);
+      ( "pool-steal-no-portfolio", true,
+        { E.default_config with portfolio = false } );
+      ("pool-steal-portfolio", true, E.default_config) ]
   in
   Printf.printf
-    "\n== B7 pooled exact-CC drivers (12x12 rank-5 product, jobs=%d) ==\n" jobs;
+    "\n== B7 pooled exact-CC driver (12x12 rank-5 product, jobs=%d) ==\n" jobs;
   let tab =
     Commx_util.Tab.make
       ~header:[ "driver"; "wall s"; "cc"; "nodes" ]
@@ -300,35 +296,38 @@ let b7_pool_ablation () =
   in
   let rows =
     Pool.with_pool ~jobs (fun pool ->
-        List.map
-          (fun (name, deterministic, config) ->
-            let t0 = Commx_util.Clock.now_s () in
-            let v, st = E.search ~config ~pool ~deterministic m in
-            let dt = Commx_util.Clock.now_s () -. t0 in
-            let nodes_key = if deterministic then "nodes" else "steal_nodes" in
+        (* Three rounds, each running every variant once: a drift in
+           machine speed hits every row alike. *)
+        let rounds =
+          List.init 3 (fun _ ->
+              List.map
+                (fun (_, pooled, config) ->
+                  let pool = if pooled then Some pool else None in
+                  best_of 1 (fun () -> E.search ~config ?pool m))
+                variants)
+        in
+        List.mapi
+          (fun i (name, pooled, _) ->
+            let runs = List.map (fun round -> List.nth round i) rounds in
+            let wall =
+              List.fold_left (fun b (w, _) -> Float.min b w) infinity runs
+            in
+            let v, st = snd (List.hd runs) in
+            let nodes_key = if pooled then "steal_nodes" else "nodes" in
             Commx_util.Tab.add_row tab
               [ name;
-                Commx_util.Tab.fmt_float ~digits:4 dt;
+                Commx_util.Tab.fmt_float ~digits:4 wall;
                 string_of_int v;
                 string_of_int st.E.nodes ];
             Json.Obj
               [ ("group", Json.String "B7");
                 ("bench", Json.String ("exact-cc/" ^ name));
-                ("wall_s", Json.Float dt); ("value", Json.Int v);
+                ("wall_s", Json.Float wall); ("value", Json.Int v);
                 (nodes_key, Json.Int st.E.nodes); ("jobs", Json.Int jobs) ])
           variants)
   in
   Commx_util.Tab.print tab;
-  (* The drivers ablate scheduling and bounds, never the answer. *)
-  let values =
-    List.filter_map
-      (function Json.Obj kvs -> List.assoc_opt "value" kvs | _ -> None)
-      rows
-  in
-  (match values with
-  | v :: rest when List.for_all (( = ) v) rest -> ()
-  | _ -> failwith "B7-pool: pooled drivers disagree on the exact CC value");
-  rows
+  require_one_value "B7-pool" rows
 
 (* B8: the observability plane's promise is "cheap when off" — every
    telemetry entry point on the exact-CC hot path (the per-search
@@ -346,19 +345,17 @@ let b8_telemetry_overhead () =
   let measure level =
     let prev = Tel.level () in
     Tel.set_level level;
-    let best = ref infinity in
-    let nodes = ref 0 in
-    for _ = 1 to reps do
-      let t0 = Commx_util.Clock.now_s () in
-      let _, st = E.search m in
-      (* the serve daemon's per-request accounting *)
-      Tel.observe lat (int_of_float ((Commx_util.Clock.now_s () -. t0) *. 1e6));
-      let dt = Commx_util.Clock.now_s () -. t0 in
-      if dt < !best then best := dt;
-      nodes := st.E.nodes
-    done;
+    let r =
+      best_of reps (fun () ->
+          let t0 = Commx_util.Clock.now_s () in
+          let _, st = E.search m in
+          (* the serve daemon's per-request accounting *)
+          Tel.observe lat
+            (int_of_float ((Commx_util.Clock.now_s () -. t0) *. 1e6));
+          st.E.nodes)
+    in
     Tel.set_level prev;
-    (!best, !nodes)
+    r
   in
   Printf.printf
     "\n== B8 telemetry overhead on the exact-CC hot path (9x9, best of %d) ==\n"

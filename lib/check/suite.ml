@@ -444,6 +444,26 @@ let exact_cc_lb_portfolio_sound =
            (fun (name, bound) -> (name ^ "<=cc", fun () -> bound <= cc))
            (Exact_cc.lower_bound_portfolio m)))
 
+(* The pooled work-stealing driver must return the sequential value.
+   Boards are sparse 10x10-12x12, redrawn until the canonical form
+   keeps at least ten rows or columns — the size at which the root move
+   list reaches the engine's parallel threshold, so the pool really
+   engages whenever the root bounds leave a search to do. *)
+let exact_cc_pooled_vs_sequential =
+  let rec gen g =
+    let n = Prng.int_incl g 10 12 in
+    let m = Bitmat.init n n (fun _ _ -> Prng.int g 100 < 15) in
+    let r, c = Exact_cc.canonical_dims m in
+    if max r c >= 10 then m else gen g
+  in
+  Property.make ~name:"exact_cc.pooled_vs_sequential" ~gen
+    ~shrink:Shrink.bitmat ~show:show_bitmat (fun m ->
+      let v_seq, _ = Exact_cc.search m in
+      let v_pool, _ =
+        Commx_util.Pool.with_pool ~jobs:2 (fun pool -> Exact_cc.search ~pool m)
+      in
+      all_of [ ("pooled=sequential", fun () -> v_pool = v_seq) ])
+
 (* ------------------------------------------------------------------ *)
 (* Zmatrix determinants vs. cofactor expansion                         *)
 (* ------------------------------------------------------------------ *)
@@ -699,6 +719,7 @@ let all () =
     exact_cc_vs_reference;
     exact_cc_sandwiched;
     exact_cc_lb_portfolio_sound;
+    exact_cc_pooled_vs_sequential;
     zmatrix_det_agreement;
     zmatrix_singular_batch;
     lemma32_vs_determinant;

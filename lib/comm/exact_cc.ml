@@ -79,17 +79,16 @@ type config = {
   canonicalize : bool;
   prune : bool;
   portfolio : bool;
-  share_incumbent : bool;
   table_budget : int option;
 }
 
 let default_config =
   { table = true; canonicalize = true; prune = true; portfolio = true;
-    share_incumbent = true; table_budget = None }
+    table_budget = None }
 
 let reference_config =
   { table = false; canonicalize = false; prune = false; portfolio = false;
-    share_incumbent = false; table_budget = None }
+    table_budget = None }
 
 type stats = {
   nodes : int;
@@ -111,8 +110,8 @@ let c_root_pruned = Tel.counter "exact_cc.root_pruned"
 
 (* Node expansions of work-stealing searches are schedule-dependent,
    so they accumulate into their own counter: [exact_cc.nodes] stays
-   strictly jobs-invariant (sequential + deterministic-mode searches
-   only) and remains the one the perf gate compares. *)
+   strictly jobs-invariant (sequential searches only) and remains the
+   one the perf gate compares. *)
 let c_steal_nodes = Tel.counter "exact_cc.steal_nodes"
 
 (* Which root lower bound won (ties resolved in evaluation order). *)
@@ -491,21 +490,14 @@ let leaf_stats ~cnr ~cnc ~root_lower ~root_upper =
     root_upper;
   }
 
-(* Number of strided groups the root move list is cut into in
-   deterministic mode.  Fixed — never derived from the pool's job
-   count — so group contents, per-group incumbents, values and
-   counters are identical at any [--jobs]. *)
-let root_groups = 16
-
-(* Fan out only when the root move list dwarfs the grouping overhead
-   (each group pays for its own transposition table): 512 moves means
+(* Fan out only when the root move list dwarfs the pooling overhead
+   (each worker pays for its own transposition table): 512 moves means
    a canonical board of at least ten rows or columns. *)
 let parallel_move_threshold = 512
 
 (* A root move packs one child of a root split: bit 0 selects the side
-   (0 = row split, 1 = column split), the chosen submask sits above.
-   The enumeration order is the classic one ([run_parallel]'s old
-   [consider] order), so strided group contents are unchanged. *)
+   (0 = row split, 1 = column split), the chosen submask sits above,
+   in the sequential search's enumeration order. *)
 let enumerate_root_moves p =
   let n = (1 lsl (p.cnr - 1)) + (1 lsl (p.cnc - 1)) - 2 in
   let moves = Array.make n 0 in
@@ -536,113 +528,24 @@ let split_of_move p mv =
   if mv land 1 = 0 then (sub, p.full_c, p.full_r lxor sub, p.full_c)
   else (p.full_r, sub, p.full_r, p.full_c lxor sub)
 
-let merge_results ~lb ~ub ~seed p results =
-  Array.fold_left
-    (fun (v, (acc : stats)) (b, (s : stats)) ->
-      ( min v b,
-        {
-          acc with
-          nodes = acc.nodes + s.nodes;
-          table_hits = acc.table_hits + s.table_hits;
-          table_misses = acc.table_misses + s.table_misses;
-          table_evictions = acc.table_evictions + s.table_evictions;
-        } ))
-    (seed, leaf_stats ~cnr:p.cnr ~cnc:p.cnc ~root_lower:lb ~root_upper:ub)
-    results
-
-(* {3 Deterministic mode: strided groups + barrier-shared incumbent}
-
-   The move list is cut into [root_groups] strided groups exactly as
-   before, but the groups now exchange incumbents at fixed
-   synchronization barriers: each round, every group advances at most
-   [strided_block] of its moves under [min (its own best, the global
-   best merged at the last barrier)].  One group's improvement bounds
-   every other group's window from the next round on — the fix for the
-   old isolated-incumbent behavior where [--jobs N] explored strictly
-   more nodes than [--jobs 1] on prune-heavy boards — while the work a
-   group does remains a pure function of the move list and the merged
-   incumbents, never of scheduling: values AND node counters stay
-   bit-identical at any job count.
-
-   [config.share_incumbent = false] suppresses the barrier exchange,
-   reproducing the PR 4 behavior (isolated incumbents) node-for-node —
-   kept as the B7 ablation baseline and for the regression test that
-   pins how much sharing saves. *)
-let strided_block = 16
-
-let run_strided cfg pool ?cancel p ~lb ~ub =
-  let moves = enumerate_root_moves p in
-  let nm = Array.length moves in
-  let seed = if cfg.prune then ub else no_bound in
-  let ctxs =
-    Array.init root_groups (fun _ -> mk_ctx ?cancel cfg p.rwp p.cwp)
-  in
-  let bests = Array.make root_groups seed in
-  let cursors = Array.init root_groups Fun.id in
-  let groups = Array.init root_groups Fun.id in
-  let global = ref seed in
-  let live = ref true in
-  while !live do
-    let g0 = if cfg.share_incumbent then !global else seed in
-    ignore
-      (Pool.parallel_map pool ?cancel
-         (fun g ->
-           let ctx = ctxs.(g) in
-           let best = ref (min bests.(g) g0) in
-           let cur = ref cursors.(g) in
-           let steps = ref 0 in
-           while
-             !steps < strided_block && !cur < nm
-             && ((not cfg.prune) || !best > lb)
-           do
-             let r0, c0, r1, c1 = split_of_move p moves.(!cur) in
-             eval_split ctx best r0 c0 r1 c1;
-             cur := !cur + root_groups;
-             incr steps
-           done;
-           bests.(g) <- !best;
-           cursors.(g) <- !cur;
-           ())
-         groups);
-    global := Array.fold_left min !global bests;
-    live :=
-      (if cfg.share_incumbent then
-         Array.exists (fun c -> c < nm) cursors
-         && ((not cfg.prune) || !global > lb)
-       else
-         (* isolated incumbents: a group only retires when its own
-            moves run out or its own best hits the floor *)
-         Array.exists2
-           (fun c b -> c < nm && ((not cfg.prune) || b > lb))
-           cursors bests)
-  done;
-  merge_results ~lb ~ub ~seed:!global p
-    (Array.map
-       (fun ctx ->
-         ( seed,
-           stats_of ctx ~cnr:p.cnr ~cnc:p.cnc ~root_lower:lb ~root_upper:ub ))
-       ctxs)
-
-(* {3 Stealing mode: per-domain deques + a shared atomic incumbent}
+(* {3 The pooled driver: per-domain deques + a shared atomic incumbent}
 
    One deque of root moves per pool worker (seeded stride-wise so every
    deque starts with a spread of the list); the owner pops blocks from
    one end, domains that run dry steal blocks from the other end of a
    victim's deque.  The incumbent is a single atomic: an improvement
-   found by any domain tightens every other domain's [eval_split]
-   window on its very next move.  Each worker carries its own
-   transposition-table segment for the whole search — the serve
-   daemon's per-worker segment design — so subtree results warm across
-   every root move the domain executes (own or stolen) instead of
-   dying with a per-group table.
+   found by any domain tightens every other domain's window on its
+   very next move.  Each worker carries its own transposition-table
+   segment for the whole search — the serve daemon's per-worker
+   segment design — so subtree results warm across every root move
+   the domain executes, own or stolen.
 
    Returned values are schedule-invariant: a move is only recorded
    when its cost was proved strictly below the bound its children were
    searched under (fail-soft), and bounds only ever tighten, so the
    final incumbent is [min ub (true minimum)] regardless of
-   interleaving.  Node counts DO depend on timing — stealing-mode
-   statistics feed [exact_cc.steal_nodes], not the jobs-invariant
-   counters. *)
+   interleaving.  Node counts DO depend on timing — pooled statistics
+   feed [exact_cc.steal_nodes], not the jobs-invariant counters. *)
 let steal_block = 32
 
 type deque = {
@@ -743,32 +646,45 @@ let run_steal cfg pool ?cancel p ~lb ~ub =
                 eval_move_shared ctx shared ~prune:cfg.prune p buf.(i)
             done
         done;
-        ( seed,
-          stats_of ctx ~cnr:p.cnr ~cnc:p.cnc ~root_lower:lb ~root_upper:ub ))
+        stats_of ctx ~cnr:p.cnr ~cnc:p.cnc ~root_lower:lb ~root_upper:ub)
       (Array.init nw Fun.id)
   in
-  merge_results ~lb ~ub ~seed:(Atomic.get shared) p results
+  ( Atomic.get shared,
+    Array.fold_left
+      (fun (acc : stats) (s : stats) ->
+        {
+          acc with
+          nodes = acc.nodes + s.nodes;
+          table_hits = acc.table_hits + s.table_hits;
+          table_misses = acc.table_misses + s.table_misses;
+          table_evictions = acc.table_evictions + s.table_evictions;
+        })
+      (leaf_stats ~cnr:p.cnr ~cnc:p.cnc ~root_lower:lb ~root_upper:ub)
+      results )
 
-let publish ?(stolen = false) (st : stats) =
+(* Feed a finished search's statistics into the jobs-invariant
+   counters.  The pooled driver's statistics depend on the schedule, so
+   [run] sends those to [exact_cc.steal_nodes] instead. *)
+let publish (st : stats) =
   Tel.incr c_searches;
-  if stolen then Tel.add c_steal_nodes st.nodes
-  else begin
-    Tel.add c_nodes st.nodes;
-    Tel.add c_hits st.table_hits;
-    Tel.add c_misses st.table_misses;
-    Tel.add c_evictions st.table_evictions
-  end
+  Tel.add c_nodes st.nodes;
+  Tel.add c_hits st.table_hits;
+  Tel.add c_misses st.table_misses;
+  Tel.add c_evictions st.table_evictions
 
-let run cfg pool ext cancel ~deterministic m =
+let run cfg pool ext cancel m =
+  let finish v st =
+    publish st;
+    (v, st)
+  in
   if Bm.rows m = 0 || Bm.cols m = 0 then
-    ( 0,
-      leaf_stats ~cnr:(Bm.rows m) ~cnc:(Bm.cols m) ~root_lower:0 ~root_upper:0,
-      false )
+    finish 0
+      (leaf_stats ~cnr:(Bm.rows m) ~cnc:(Bm.cols m) ~root_lower:0 ~root_upper:0)
   else begin
     let p = prepare cfg m in
     let ub = ceil_log2 (min p.cnr p.cnc) + 1 in
     if Bm.mono_masked p.rwp ~rmask:p.full_r ~cmask:p.full_c >= 0 then
-      (0, leaf_stats ~cnr:p.cnr ~cnc:p.cnc ~root_lower:0 ~root_upper:ub, false)
+      finish 0 (leaf_stats ~cnr:p.cnr ~cnc:p.cnc ~root_lower:0 ~root_upper:ub)
     else begin
       let lb =
         if cfg.prune then certified_lower ~portfolio:cfg.portfolio ~ub p.canon
@@ -776,9 +692,8 @@ let run cfg pool ext cancel ~deterministic m =
       in
       if cfg.prune && lb >= ub then begin
         Tel.incr c_root_pruned;
-        ( ub,
-          leaf_stats ~cnr:p.cnr ~cnc:p.cnc ~root_lower:lb ~root_upper:ub,
-          false )
+        finish ub
+          (leaf_stats ~cnr:p.cnr ~cnc:p.cnc ~root_lower:lb ~root_upper:ub)
       end
       else begin
         let n_moves = (1 lsl (p.cnr - 1)) + (1 lsl (p.cnc - 1)) - 2 in
@@ -787,11 +702,13 @@ let run cfg pool ext cancel ~deterministic m =
            (Txtable is not thread-safe), so its presence forces the
            sequential path regardless of the pool. *)
         | Some pool when n_moves >= parallel_move_threshold && ext = None -> (
-            let driver = if deterministic then run_strided else run_steal in
-            match driver cfg pool ?cancel p ~lb ~ub with
-            | v, st -> (v, st, not deterministic)
+            match run_steal cfg pool ?cancel p ~lb ~ub with
+            | v, st ->
+                Tel.incr c_searches;
+                Tel.add c_steal_nodes st.nodes;
+                (v, st)
             | exception Pool.Cancelled ->
-                (* Group-local node counts die with their domains; the
+                (* Per-worker node counts die with their domains; the
                    certified root bounds survive. *)
                 raise (Timed_out { lower = lb; upper = ub; nodes = 0 }))
         | _ -> (
@@ -799,10 +716,9 @@ let run cfg pool ext cancel ~deterministic m =
             let bound = if cfg.prune then ub else no_bound in
             match cc ctx ~lb p.full_r p.full_c bound with
             | v ->
-                ( v,
-                  stats_of ctx ~cnr:p.cnr ~cnc:p.cnc ~root_lower:lb
-                    ~root_upper:ub,
-                  false )
+                finish v
+                  (stats_of ctx ~cnr:p.cnr ~cnc:p.cnc ~root_lower:lb
+                     ~root_upper:ub)
             | exception Pool.Cancelled ->
                 (* Report the best certified answer the partial search
                    left behind.  The root entry of a warm table (same
@@ -827,10 +743,9 @@ let run cfg pool ext cancel ~deterministic m =
                       if c land 1 = 1 then exact := c lsr 1
                       else lower := max !lower (c lsr 1));
                 if !exact >= 0 then
-                  ( !exact,
-                    stats_of ctx ~cnr:p.cnr ~cnc:p.cnc ~root_lower:lb
-                      ~root_upper:ub,
-                    false )
+                  finish !exact
+                    (stats_of ctx ~cnr:p.cnr ~cnc:p.cnc ~root_lower:lb
+                       ~root_upper:ub)
                 else begin
                   (* The partial work still counts toward telemetry:
                      the nodes were expanded and the table entries are
@@ -846,24 +761,17 @@ let run cfg pool ext cancel ~deterministic m =
     end
   end
 
-let search ?(config = default_config) ?pool ?table ?(key_tag = 0) ?cancel
-    ?(deterministic = false) m =
+let search ?(config = default_config) ?pool ?table ?(key_tag = 0) ?cancel m =
   if key_tag < 0 || key_tag > max_key_tag then
     invalid_arg
       (Printf.sprintf "Exact_cc.search: key_tag %d out of [0, %d]" key_tag
          max_key_tag);
   let ext = Option.map (fun t -> (t, key_tag)) table in
-  let v, st, stolen = run config pool ext cancel ~deterministic m in
-  publish ~stolen st;
-  (v, st)
+  run config pool ext cancel m
 
 let complexity m = fst (search m)
 let complexity_tm tm = complexity (Truth_matrix.to_bitmat tm)
 
-(* Content address of the canonical board: what the serve daemon keys
-   its result cache and its table-tag registry on.  Two inputs get the
-   same key exactly when the engine would search the same canonical
-   matrix — duplicate rows/columns and complementation included. *)
 (* Canonical board dimensions without running the search: what the
    serve daemon's admission check sizes an [exact_cc] request by.
    Collapse is enough — complement normalization never changes the
@@ -872,6 +780,10 @@ let canonical_dims m =
   let m' = collapse_duplicates m in
   (Bm.rows m', Bm.cols m')
 
+(* Content address of the canonical board: what the serve daemon keys
+   its result cache and its table-tag registry on.  Two inputs get the
+   same key exactly when the engine would search the same canonical
+   matrix — duplicate rows/columns and complementation included. *)
 let canonical_key m =
   let m' = complement_normalize (collapse_duplicates m) in
   let b = Buffer.create 64 in

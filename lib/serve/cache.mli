@@ -2,8 +2,9 @@
     daemon.
 
     The cache maps a content key — for exact-CC queries,
-    {!Commx_comm.Exact_cc.canonical_key} of the board, so structurally
-    equal matrices alias — to the op-specific result fields of a
+    {!Commx_comm.Exact_cc.canonical_key} of the board, so boards that
+    differ only by duplicated lines or by majority-ones complementation
+    alias — to the op-specific result fields of a
     finished request.  Bounded FIFO: at capacity the oldest entry is
     evicted.  All operations are mutex-protected; the acceptor and
     every worker domain hit the same instance.

@@ -323,7 +323,10 @@ let content_key (req : Wire.request) =
   match req with
   | Wire.Ping | Wire.Stats | Wire.Shutdown | Wire.Dump_trace -> None
   | Wire.Exact_cc { matrix; _ } ->
-      (* Canonical, not literal: structurally equal boards alias. *)
+      (* Canonical, not literal: boards that differ only by duplicated
+         rows or columns, or by complementing a board whose ones are
+         the majority, alias.  Row/column order is kept, so permuted
+         and transposed boards get distinct keys. *)
       Some ("exact_cc:" ^ E.canonical_key matrix)
   | Wire.Singular { matrix } -> Some ("singular:" ^ zmatrix_key matrix)
   | Wire.Lemma32 { n; k; seed } ->

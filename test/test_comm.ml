@@ -635,39 +635,52 @@ let test_exact_cc_cap_post_canonicalization () =
   Alcotest.(check int) "canonical rows" 4 st.Exact_cc.canon_rows;
   Alcotest.(check int) "canonical cols" 4 st.Exact_cc.canon_cols
 
-let test_exact_cc_incumbent_sharing_regression () =
-  (* PR 4's pooled driver gave each strided group a PRIVATE incumbent,
-     so a cheap protocol found by one group never tightened the
-     others' pruning windows and --jobs N explored strictly more nodes
-     than --jobs 1 on prune-heavy boards.  The fix exchanges
-     incumbents at the round barriers; [share_incumbent = false] keeps
-     the old behavior as an ablation.  This sparse 12x12 board (witness
-     type: the exact value equals the certified lower bound, so search
-     ends on the first cheap protocol found) has a provable gap between
-     the two.  Node counts in deterministic mode are a pure function of
-     the move list, so the jobs-invariance checks are exact. *)
-  let g = Prng.create 700648 in
-  let m = Bm.init 12 12 (fun _ _ -> Prng.float g < 0.18) in
-  let v_seq, st_seq = Exact_cc.search m in
-  let run ~share_incumbent jobs =
-    let config = { Exact_cc.default_config with share_incumbent } in
-    Commx_util.Pool.with_pool ~jobs (fun pool ->
-        Exact_cc.search ~config ~pool ~deterministic:true m)
-  in
-  let v_sh1, st_sh1 = run ~share_incumbent:true 1 in
-  let v_sh3, st_sh3 = run ~share_incumbent:true 3 in
-  let v_iso, st_iso = run ~share_incumbent:false 3 in
-  Alcotest.(check int) "shared value = sequential" v_seq v_sh1;
-  Alcotest.(check int) "shared value jobs-invariant" v_sh1 v_sh3;
-  Alcotest.(check int) "isolated value agrees too" v_sh1 v_iso;
-  Alcotest.(check int) "shared nodes jobs-invariant" st_sh1.Exact_cc.nodes
-    st_sh3.Exact_cc.nodes;
-  Alcotest.(check bool) "sequential searched" true (st_seq.Exact_cc.nodes > 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "sharing prunes strictly better (%d < %d)"
-       st_sh3.Exact_cc.nodes st_iso.Exact_cc.nodes)
-    true
-    (st_sh3.Exact_cc.nodes < st_iso.Exact_cc.nodes)
+(* The cache-key contract: [canonical_key] aliases exactly what the
+   engine's input canonicalization folds together — duplicate lines
+   and majority-ones complementation — and [canonical_dims] reports
+   the shape the engine searches. *)
+let key_boards ?(tenths = 4) () =
+  List.init 12 (fun s ->
+      let g = Prng.create (4100 + s) in
+      Bm.init (2 + (s mod 7)) (3 + (s mod 5)) (fun _ _ ->
+          Prng.int g 10 < tenths))
+
+(* Append a copy of every row and every column: copies placed after
+   their originals keep the order of first occurrences. *)
+let with_duplicates m =
+  let dup n = Array.init (2 * n) (fun k -> k mod n) in
+  Bm.submatrix m (dup (Bm.rows m)) (dup (Bm.cols m))
+
+let test_exact_cc_canonical_key_duplicates () =
+  List.iter
+    (fun m ->
+      Alcotest.(check string) "duplicated rows and columns"
+        (Exact_cc.canonical_key m)
+        (Exact_cc.canonical_key (with_duplicates m)))
+    (key_boards ())
+
+let test_exact_cc_canonical_key_complement () =
+  List.iter
+    (fun m ->
+      Alcotest.(check bool) "mostly ones" true
+        (2 * Bm.count_ones m > Bm.rows m * Bm.cols m);
+      Alcotest.(check string) "complement aliases" (Exact_cc.canonical_key m)
+        (Exact_cc.canonical_key (Bm.complement m)))
+    (key_boards ~tenths:8 ())
+
+let test_exact_cc_canonical_dims_agree () =
+  List.iter
+    (fun m ->
+      let r, c = Exact_cc.canonical_dims m in
+      let key = Exact_cc.canonical_key m in
+      Alcotest.(check string) "key prefix" (Printf.sprintf "%dx%d:" r c)
+        (String.sub key 0 (String.index key ':' + 1));
+      let _, st = Exact_cc.search m in
+      Alcotest.(check (pair int int)) "search canon dims" (r, c)
+        (st.Exact_cc.canon_rows, st.Exact_cc.canon_cols))
+    (key_boards ()
+    @ List.map with_duplicates (key_boards ())
+    @ List.map Bm.complement (key_boards ()))
 
 let test_exact_cc_warm_table_deadline () =
   (* The cooperative cancel poll counts subproblem VISITS, table hits
@@ -759,7 +772,6 @@ let prop_exact_cc_toggle_invariance params =
       [ { default_config with canonicalize = false };
         { default_config with prune = false };
         { default_config with portfolio = false };
-        { default_config with share_incumbent = false };
         { default_config with table_budget = Some 64 } ]
 
 let prop_exact_cc_monotone_submatrix params =
@@ -895,8 +907,12 @@ let () =
             test_exact_cc_too_large;
           Alcotest.test_case "cap checked post-canonicalization" `Quick
             test_exact_cc_cap_post_canonicalization;
-          Alcotest.test_case "incumbent sharing prunes better" `Quick
-            test_exact_cc_incumbent_sharing_regression;
+          Alcotest.test_case "canonical key ignores duplicate lines" `Quick
+            test_exact_cc_canonical_key_duplicates;
+          Alcotest.test_case "canonical key complement-normalized" `Quick
+            test_exact_cc_canonical_key_complement;
+          Alcotest.test_case "canonical dims agree with key and search"
+            `Quick test_exact_cc_canonical_dims_agree;
           Alcotest.test_case "warm-table deadline observed" `Quick
             test_exact_cc_warm_table_deadline;
           qtest "optimized = reference engine" ~count:120 arb_ref_bitmat

@@ -570,51 +570,23 @@ let test_json_file_roundtrip () =
 module Exact_cc = Commx_comm.Exact_cc
 
 let test_exact_cc_pool_jobs_invariant () =
-  (* Two pooled drivers, two invariance strengths.  Deterministic mode
-     partitions root moves into a FIXED number of strided groups (never
-     derived from the worker count) and exchanges incumbents only at
-     fixed barriers, so it must return identical values AND identical
-     work counters at any --jobs.  The default work-stealing driver
-     only promises a schedule-invariant VALUE — node counts depend on
-     which worker executed which block.  This 10x10 instance
-     canonicalizes to 9x10 — 766 root moves, above the engine's
-     parallel threshold — and its portfolio bound (4) stays below the
-     trivial upper bound (5), so the tree is genuinely searched in
-     parallel. *)
+  (* The work-stealing driver promises a schedule-invariant VALUE —
+     node counts depend on which worker executed which block, so only
+     the sequential search's counters are jobs-invariant.  This 10x10
+     instance canonicalizes to 9x10 — 766 root moves, above the
+     engine's parallel threshold — and its portfolio bound (4) stays
+     below the trivial upper bound (5), so the tree is genuinely
+     searched in parallel. *)
   let g = Prng.create 105015 in
   let m = Commx_util.Bitmat.init 10 10 (fun _ _ -> Prng.float g < 0.15) in
   let v_seq, _ = Exact_cc.search m in
-  let run ?deterministic jobs =
-    Pool.with_pool ~jobs (fun pool -> Exact_cc.search ?deterministic ~pool m)
-  in
-  let v1, s1 = run ~deterministic:true 1 in
-  let v3, s3 = run ~deterministic:true 3 in
-  Alcotest.(check int) "pooled value = sequential value" v_seq v1;
-  Alcotest.(check int) "value jobs-invariant" v1 v3;
+  let run jobs = Pool.with_pool ~jobs (fun pool -> Exact_cc.search ~pool m) in
   let w1, t1 = run 1 in
   let w4, t4 = run 4 in
-  Alcotest.(check int) "stealing value = deterministic value" v1 w1;
-  Alcotest.(check int) "stealing value jobs-invariant" w1 w4;
-  Alcotest.(check bool) "stealing searched at jobs 1" true
-    (t1.Exact_cc.nodes > 0);
-  Alcotest.(check bool) "stealing searched at jobs 4" true
-    (t4.Exact_cc.nodes > 0);
-  Alcotest.(check bool) "a real search happened" true (s1.Exact_cc.nodes > 0);
-  Alcotest.(check int) "nodes" s1.Exact_cc.nodes s3.Exact_cc.nodes;
-  Alcotest.(check int) "table hits" s1.Exact_cc.table_hits
-    s3.Exact_cc.table_hits;
-  Alcotest.(check int) "table misses" s1.Exact_cc.table_misses
-    s3.Exact_cc.table_misses;
-  Alcotest.(check int) "table evictions" s1.Exact_cc.table_evictions
-    s3.Exact_cc.table_evictions;
-  Alcotest.(check int) "canon rows" s1.Exact_cc.canon_rows
-    s3.Exact_cc.canon_rows;
-  Alcotest.(check int) "canon cols" s1.Exact_cc.canon_cols
-    s3.Exact_cc.canon_cols;
-  Alcotest.(check int) "root lower" s1.Exact_cc.root_lower
-    s3.Exact_cc.root_lower;
-  Alcotest.(check int) "root upper" s1.Exact_cc.root_upper
-    s3.Exact_cc.root_upper
+  Alcotest.(check int) "pooled value = sequential value" v_seq w1;
+  Alcotest.(check int) "pooled value jobs-invariant" w1 w4;
+  Alcotest.(check bool) "searched at jobs 1" true (t1.Exact_cc.nodes > 0);
+  Alcotest.(check bool) "searched at jobs 4" true (t4.Exact_cc.nodes > 0)
 
 (* ------------------------------------------------------------------ *)
 
