@@ -1,17 +1,20 @@
 (* Load-replay bench: `ccmx bench load`.
 
    Replays a seeded synthetic traffic mix (Commx_util.Traffic) against
-   either the in-process engine or a live `ccmx serve` daemon, and
-   reports throughput and latency SLOs (p50/p95/p99) per query kind
-   plus batch-vs-scalar speedup rows for the amortized kernels.
+   either the in-process op layer (Commx_serve.Ops, the code a daemon
+   worker runs) or a live `ccmx serve` daemon, and reports throughput
+   and latency SLOs (p50/p95/p99) per query kind plus batch-vs-scalar
+   speedup rows for the amortized kernels.
 
    Determinism contract (asserted by scripts/load_soak.sh and CI):
    - the request stream is a pure function of (seed, mix, arrival,
      count) — Traffic.stream never sees --jobs;
-   - every answer is a pure function of its request payload, so the
-     id-ordered answer digest is identical at any --jobs and identical
-     between the in-process engine and a daemon replay.  Latencies and
-     throughput are the only fields allowed to vary between runs.
+   - an answer is the op's cacheable reply fields (Ops.cacheable: every
+     field but the envelope and the per-request nodes/table/cache/wall
+     fields), a pure function of the request, so the id-ordered answer
+     digest is identical at any --jobs and identical between the
+     in-process target and a daemon replay.  Latencies and throughput
+     are the only fields allowed to vary between runs.
 
    With --json DIR the run writes DIR/BENCH_load.json (schema v3, same
    writer as every other artifact).  scripts/perf_gate.py reads the
@@ -27,14 +30,9 @@ module Bm = Commx_util.Bitmat
 module Tx = Commx_util.Txtable
 module B = Commx_bigint.Bigint
 module Zm = Commx_linalg.Zmatrix
-module E = Commx_comm.Exact_cc
-module Truth_matrix = Commx_comm.Truth_matrix
-module Rank_bound = Commx_comm.Rank_bound
-module Protocol = Commx_comm.Protocol
-module Params = Commx_core.Params
-module H = Commx_core.Hard_instance
-module Halves = Commx_protocols.Halves
-module Trivial = Commx_protocols.Trivial
+module Wire = Commx_serve.Wire
+module Ops = Commx_serve.Ops
+module Cache = Commx_serve.Cache
 module Client = Commx_serve.Client
 
 type target = In_process | Daemon of string
@@ -50,7 +48,7 @@ type config = {
   deadline_ms : int option;
 }
 
-(* Pinned payload shapes.  Exact CC boards follow the chaos soak's
+(* Pinned request shapes.  Exact CC boards follow the chaos soak's
    sizing (random 6x6: fast to solve, slow enough to really search);
    rank/singularity boards are 8x8 so the exact rectangle-cover bound
    stays affordable (64 cells) and Bareiss determinants are real
@@ -62,63 +60,40 @@ let lower_side = 8
 let proto_n = 7
 let proto_k = 2
 
-type payload =
-  | P_exact of Bm.t
-  | P_singular of Zm.t
-  | P_lower of Bm.t
-  | P_proto of int  (* instance seed *)
-
-let materialize (r : Traffic.request) =
+let materialize (r : Traffic.request) : Wire.request =
   let g = Prng.create r.Traffic.seed in
   match r.Traffic.kind with
-  | Traffic.Exact_cc -> P_exact (Bm.random g exact_cc_side exact_cc_side)
+  | Traffic.Exact_cc ->
+      Wire.Exact_cc
+        { matrix = Bm.random g exact_cc_side exact_cc_side; use_cache = true }
   | Traffic.Singular ->
       (* One in four boards is rank-deficient by construction, so the
          singularity path answers both verdicts under load. *)
-      if Prng.int g 4 = 0 then
-        P_singular
-          (Zm.random_of_rank g ~rows:singular_side ~cols:singular_side
-             ~rank:(singular_side - 1))
-      else
-        P_singular
-          (Zm.random_kbit g ~rows:singular_side ~cols:singular_side
-             ~k:singular_bits)
-  | Traffic.Lower_bounds -> P_lower (Bm.random g lower_side lower_side)
-  | Traffic.Protocol -> P_proto (Prng.int g 1_000_000)
+      let matrix =
+        if Prng.int g 4 = 0 then
+          Zm.random_of_rank g ~rows:singular_side ~cols:singular_side
+            ~rank:(singular_side - 1)
+        else
+          Zm.random_kbit g ~rows:singular_side ~cols:singular_side
+            ~k:singular_bits
+      in
+      Wire.Singular { matrix }
+  | Traffic.Lower_bounds ->
+      Wire.Lower_bounds { matrix = Bm.random g lower_side lower_side }
+  | Traffic.Protocol ->
+      Wire.Protocol_run
+        { proto = "trivial"; n = proto_n; k = proto_k;
+          seed = Prng.int g 1_000_000; epsilon = 0.01 }
 
 (* ------------------------------------------------------------------ *)
 (* Execution: in-process and over the wire                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Answers are short canonical strings: the same payload must render
-   the same answer whether computed here or by a daemon, which is what
-   lets the soak compare digests across targets. *)
+(* Both targets answer with Commx_serve.Ops — in this domain, or in a
+   daemon worker — and an answer is the op's cacheable fields, so the
+   soak's digests compare every field a request determines. *)
 
-let answer_in_process ~table payload =
-  match payload with
-  | P_exact m ->
-      let v, _ = E.search ~table m in
-      Printf.sprintf "cc=%d" v
-  | P_singular m ->
-      Printf.sprintf "singular=%b" (Zm.singular_batch [| m |]).(0)
-  | P_lower m ->
-      let nr = Bm.rows m and nc = Bm.cols m in
-      let tm =
-        Truth_matrix.build (List.init nr Fun.id) (List.init nc Fun.id)
-          (fun i j -> Bm.get m i j)
-      in
-      let r = Rank_bound.analyze tm ~exact_rect:(nr * nc <= 64) in
-      Printf.sprintf "gf2=%d,rat=%d,fool=%d" r.Rank_bound.gf2
-        r.Rank_bound.rational r.Rank_bound.fooling
-  | P_proto seed ->
-      let p = Params.make ~n:proto_n ~k:proto_k in
-      let g = Prng.create seed in
-      let m = H.build_m p (H.random_free g p) in
-      let alice, bob = Halves.split_pi0 m in
-      let got, bits =
-        Protocol.execute (Trivial.singularity ~k:proto_k) alice bob
-      in
-      Printf.sprintf "agrees=%b,bits=%d" (got = Zm.is_singular m) bits
+let answer_text fields = Json.to_string (Json.Obj fields)
 
 let bit_rows m =
   Json.List
@@ -126,41 +101,25 @@ let bit_rows m =
          Json.String
            (String.init (Bm.cols m) (fun j -> if Bm.get m i j then '1' else '0'))))
 
-let wire_request = function
-  | P_exact m -> ("exact_cc", [ ("matrix", bit_rows m) ])
-  | P_singular m ->
+(* The request line the daemon target sends: it parses back to the
+   same [Wire.request] the in-process target executes. *)
+let wire_fields : Wire.request -> string * Ops.fields = function
+  | Wire.Exact_cc { matrix; _ } -> ("exact_cc", [ ("matrix", bit_rows matrix) ])
+  | Wire.Singular { matrix } ->
       let rows =
-        List.init (Zm.rows m) (fun i ->
+        List.init (Zm.rows matrix) (fun i ->
             Json.List
-              (List.init (Zm.cols m) (fun j ->
-                   Json.Int (B.to_int (Zm.get m i j)))))
+              (List.init (Zm.cols matrix) (fun j ->
+                   Json.Int (B.to_int (Zm.get matrix i j)))))
       in
       ("singular", [ ("matrix", Json.List rows) ])
-  | P_lower m -> ("lower_bounds", [ ("matrix", bit_rows m) ])
-  | P_proto seed ->
+  | Wire.Lower_bounds { matrix } ->
+      ("lower_bounds", [ ("matrix", bit_rows matrix) ])
+  | Wire.Protocol_run { proto; n; k; seed; epsilon } ->
       ( "protocol",
-        [ ("protocol", Json.String "trivial"); ("n", Json.Int proto_n);
-          ("k", Json.Int proto_k); ("seed", Json.Int seed) ] )
-
-let answer_of_reply op reply =
-  let geti k =
-    match Json.member k reply with
-    | Some (Json.Int v) -> v
-    | _ -> failwith (Printf.sprintf "reply missing int field %S" k)
-  in
-  let getb k =
-    match Json.member k reply with
-    | Some (Json.Bool v) -> v
-    | _ -> failwith (Printf.sprintf "reply missing bool field %S" k)
-  in
-  match op with
-  | "exact_cc" -> Printf.sprintf "cc=%d" (geti "value")
-  | "singular" -> Printf.sprintf "singular=%b" (getb "singular")
-  | "lower_bounds" ->
-      Printf.sprintf "gf2=%d,rat=%d,fool=%d" (geti "gf2_rank")
-        (geti "rational_rank") (geti "fooling_set")
-  | "protocol" -> Printf.sprintf "agrees=%b,bits=%d" (getb "agrees") (geti "bits")
-  | op -> failwith ("unexpected op " ^ op)
+        [ ("protocol", Json.String proto); ("n", Json.Int n); ("k", Json.Int k);
+          ("seed", Json.Int seed); ("epsilon", Json.Float epsilon) ] )
+  | _ -> invalid_arg "Load.wire_fields: not a load-mix op"
 
 (* ------------------------------------------------------------------ *)
 (* Replay                                                              *)
@@ -168,21 +127,10 @@ let answer_of_reply op reply =
 
 exception Request_timeout
 
-(* FNV-1a over the id-ordered answers, folded into a positive native
-   int and rendered as hex: an order-independent-of-execution digest
-   of WHAT was answered, never how fast. *)
+(* MD5 of the id-ordered answers: a digest of WHAT was answered,
+   independent of execution order and never of how fast. *)
 let digest answers =
-  (* FNV-1a offset basis folded into OCaml's 63-bit int range. *)
-  let h = ref 0x3bf29ce484222325 in
-  Array.iter
-    (fun s ->
-      String.iter
-        (fun c ->
-          h := (!h lxor Char.code c) * 0x100000001b3;
-          h := !h land max_int)
-        (s ^ "\x00"))
-    answers;
-  Printf.sprintf "%x" !h
+  Digest.to_hex (Digest.string (String.concat "\x00" (Array.to_list answers)))
 
 type outcome = { latencies : float array; status : int array; answers : string array; wall_s : float }
 
@@ -194,7 +142,7 @@ let replay cfg reqs =
   let next = Atomic.make 0 in
   let epoch = Clock.now_s () in
   let worker _wid =
-    let table = Tx.create () in
+    let table = Tx.create () and tags = Cache.Tags.create () in
     let client =
       match cfg.target with
       | In_process -> None
@@ -204,7 +152,7 @@ let replay cfg reqs =
       let i = Atomic.fetch_and_add next 1 in
       if i < n then begin
         let r = reqs.(i) in
-        let payload = materialize r in
+        let req = materialize r in
         let start =
           match cfg.arrival with
           | Traffic.Closed _ -> Clock.now_s ()
@@ -219,11 +167,20 @@ let replay cfg reqs =
         (try
            let ans =
              match client with
-             | None -> answer_in_process ~table payload
+             | None ->
+                 (* Each canonical board gets its own table tag, as in
+                    the daemon, so boards never share subproblem keys. *)
+                 let key_tag =
+                   match req with
+                   | Wire.Exact_cc _ ->
+                       Cache.Tags.tag tags (Option.get (Ops.content_key req))
+                   | _ -> 0
+                 in
+                 answer_text (fst (Ops.exec ~table ~key_tag req))
              | Some c -> (
-                 let op, fields = wire_request payload in
+                 let op, fields = wire_fields req in
                  match Client.request c ?deadline_ms:cfg.deadline_ms ~op fields with
-                 | Ok reply -> answer_of_reply op reply
+                 | Ok reply -> answer_text (Ops.cacheable reply)
                  | Error (Client.Timed_out _) -> raise Request_timeout
                  | Error e -> failwith (Client.error_to_string e))
            in

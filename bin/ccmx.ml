@@ -17,11 +17,7 @@ module L32 = Commx_core.Lemma32
 module L35 = Commx_core.Lemma35
 module L39 = Commx_core.Lemma39
 module Bounds = Commx_core.Bounds
-module Protocol = Commx_comm.Protocol
 module Partition = Commx_comm.Partition
-module Halves = Commx_protocols.Halves
-module Trivial = Commx_protocols.Trivial
-module Fingerprint = Commx_protocols.Fingerprint
 module Cli = Commx_util.Cli
 module Clock = Commx_util.Clock
 module Faults = Commx_util.Faults
@@ -36,6 +32,7 @@ module Logging = Commx_util.Logging
 module Server = Commx_serve.Server
 module Client = Commx_serve.Client
 module Wire = Commx_serve.Wire
+module Ops = Commx_serve.Ops
 module Traffic = Commx_util.Traffic
 module Load = Commx_load.Load
 
@@ -130,9 +127,9 @@ let singular path =
   let m = read_matrix path in
   if not (Zm.is_square m) then `Error (false, "matrix is not square")
   else begin
-    let d = Zm.det m in
+    let rank, d = Zm.det_rank m in
     Printf.printf "dimension: %d\nrank: %d\ndet: %s\nsingular: %b\n"
-      (Zm.rows m) (Zm.rank m) (B.to_string d) (B.is_zero d);
+      (Zm.rows m) rank (B.to_string d) (B.is_zero d);
     `Ok ()
   end
 
@@ -150,37 +147,26 @@ let singular_cmd =
 (* protocol                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* The daemon's protocol op, printed for a terminal. *)
 let protocol n k seed which epsilon =
   match params_of n k with
   | `Error _ as e -> e
-  | `Ok p ->
-      let g = Prng.create seed in
-      let m = H.build_m p (H.random_free g p) in
-      let alice, bob = Halves.split_pi0 m in
-      let truth = Zm.is_singular m in
-      (match which with
-      | "trivial" ->
-          let got, bits = Protocol.execute (Trivial.singularity ~k) alice bob in
-          Printf.printf
-            "trivial protocol: answer=%b (truth %b), %d bits (2kn^2 = %d)\n"
-            got truth bits
-            (Bounds.trivial_upper_bits ~n ~k);
-          `Ok ()
-      | "fingerprint" ->
-          let rp = Fingerprint.singularity ~n ~k ~epsilon in
-          let got, bits =
-            Protocol.execute
-              (rp.Commx_comm.Randomized.run_seeded ~seed:(seed + 1))
-              alice bob
+  | `Ok _ -> (
+      let req = Wire.Protocol_run { proto = which; n; k; seed; epsilon } in
+      match Ops.exec ~table:(Commx_util.Txtable.create ()) ~key_tag:0 req with
+      | exception Failure msg -> `Error (false, msg)
+      | core, _ ->
+          let field key = Json.to_string (List.assoc key core) in
+          let name, bound =
+            if which = "trivial" then ("trivial protocol", "2kn^2 = ")
+            else
+              ( Printf.sprintf "fingerprint protocol (eps=%.3f)" epsilon,
+                "trivial: " )
           in
-          Printf.printf
-            "fingerprint protocol (eps=%.3f): answer=%b (truth %b), %d \
-             bits (trivial: %d)\n"
-            epsilon got truth bits
-            (Bounds.trivial_upper_bits ~n ~k);
-          `Ok ()
-      | other ->
-          `Error (false, Printf.sprintf "unknown protocol %S" other))
+          Printf.printf "%s: answer=%s (truth %s), %s bits (%s%s)\n" name
+            (field "answer") (field "truth") (field "bits") bound
+            (field "trivial_upper_bits");
+          `Ok ())
 
 let protocol_cmd =
   let which =

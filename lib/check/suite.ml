@@ -468,18 +468,19 @@ let exact_cc_pooled_vs_sequential =
 (* Zmatrix determinants vs. cofactor expansion                         *)
 (* ------------------------------------------------------------------ *)
 
+let show_zmatrix m =
+  String.concat "\n"
+    (List.init (Zm.rows m) (fun i ->
+         String.concat " "
+           (List.init (Zm.cols m) (fun j -> B.to_string (Zm.get m i j)))))
+
 let zmatrix_det_agreement =
   let gen g =
     let n = Prng.int_incl g 1 4 in
     Gen.zmatrix ~rows:(Gen.return n) ~cols:(Gen.return n)
       ~bits:(Gen.int_range 0 64) g
   in
-  Property.make ~name:"zmatrix.det_vs_cofactor" ~gen
-    ~show:(fun m ->
-      String.concat "\n"
-        (List.init (Zm.rows m) (fun i ->
-             String.concat " "
-               (List.init (Zm.cols m) (fun j -> B.to_string (Zm.get m i j))))))
+  Property.make ~name:"zmatrix.det_vs_cofactor" ~gen ~show:show_zmatrix
     (fun m ->
       let d = Zm.det_bareiss m in
       all_of
@@ -504,12 +505,6 @@ let zmatrix_det_agreement =
    mix that forces both of its paths: random matrices (the mod-p
    filter certifies nonsingular) and rank-deficient constructions (the
    filter vanishes mod every prime and escalates to the exact det). *)
-let show_zmatrix m =
-  String.concat "\n"
-    (List.init (Zm.rows m) (fun i ->
-         String.concat " "
-           (List.init (Zm.cols m) (fun j -> B.to_string (Zm.get m i j)))))
-
 let zmatrix_singular_batch =
   let gen g =
     let count = Prng.int_incl g 0 6 in
@@ -534,6 +529,28 @@ let zmatrix_singular_batch =
                 (List.map string_of_bool (Array.to_list batch)))
              (String.concat ";"
                 (List.map string_of_bool (Array.to_list scalar)))))
+
+(* One fraction-free elimination gives both rank and det, so the
+   det-vs-rank check above is circular; this one holds the rank to
+   elimination over Q and the det to cofactor expansion.  Rectangular
+   shapes, every rank from 0 to full, and random signed boards. *)
+let zmatrix_rank_vs_rational =
+  let gen g =
+    let rows = Prng.int_incl g 1 6 and cols = Prng.int_incl g 1 6 in
+    if Prng.bool g then
+      Zm.random_of_rank g ~rows ~cols ~rank:(Prng.int_incl g 0 (min rows cols))
+    else Zm.random g ~rows ~cols ~bits:(Prng.int_incl g 1 40)
+  in
+  Property.make ~name:"zmatrix.rank_vs_rational" ~gen ~show:show_zmatrix
+    (fun m ->
+      let rank, det = Zm.det_rank m in
+      all_of
+        [ ( "rational_rank",
+            fun () -> rank = Commx_linalg.Qmatrix.rank (Zm.to_qmatrix m) );
+          ( "det_cofactor",
+            fun () ->
+              (not (Zm.is_square m)) || B.equal det (Oracles.det_cofactor m) )
+        ])
 
 (* ------------------------------------------------------------------ *)
 (* Lemma 3.2 criterion vs. direct determinant on Fig. 1/3 instances    *)
@@ -722,6 +739,7 @@ let all () =
     exact_cc_pooled_vs_sequential;
     zmatrix_det_agreement;
     zmatrix_singular_batch;
+    zmatrix_rank_vs_rational;
     lemma32_vs_determinant;
     json_roundtrip;
     stats_percentiles;

@@ -3,18 +3,18 @@
     Structural operations come from [Matrix.Make] over ℤ; on top we add
     the integer-specific machinery the reproduction needs:
 
-    - {!det_bareiss}: fraction-free Gaussian elimination (Bareiss 1968).
-      All intermediate values are exact integers (each is itself a minor
-      of the input), avoiding rational blow-up.
+    - {!det_rank}: fraction-free Gaussian elimination (Bareiss 1968) of
+      any shape, giving rank and determinant together; {!det_bareiss},
+      {!is_singular} and {!rank} are its projections.  All intermediate
+      values are exact integers (each is itself a minor of the input),
+      avoiding rational blow-up.
     - {!hadamard_bound}: Hadamard's inequality, used to size the CRT
       prime ladder.
     - {!det_crt}: determinant by Chinese remaindering over word-size
       primes — the "fast path" benched against Bareiss in the ablation.
-    - {!rank}: exact rank (delegated to elimination over ℚ).
     - reductions mod p for the fingerprinting protocol. *)
 
 module B = Commx_bigint.Bigint
-module Q = Commx_bigint.Rational
 module P = Commx_bigint.Primes
 include Matrix.Make (Ring.Z)
 
@@ -70,65 +70,59 @@ let random_of_rank g ~rows:nr ~cols:nc ~rank:target =
 (* Bareiss fraction-free elimination                                   *)
 (* ------------------------------------------------------------------ *)
 
-(** [det_bareiss m] is the exact determinant.  The Bareiss recurrence
-    [a'(i,j) = (a(r,r) * a(i,j) - a(i,r) * a(r,j)) / prev_pivot] keeps
-    every intermediate entry an exact integer minor of the input. *)
+(** [det_rank m] is [(rank m, det m)] from one fraction-free echelon of
+    [m], any shape.  The Bareiss recurrence
+    [a'(i,j) = (p * a(i,j) - a(i,c) * a(r,j)) / prev_pivot], with [p]
+    the pivot at [(r, c)], keeps every intermediate entry an exact
+    integer minor of the input.  A column with no nonzero entry at or
+    below row [r] has no pivot and is skipped, so the number of pivots
+    is the rank.  The second component is the signed last pivot when
+    [m] is square of full rank — its determinant — and zero otherwise
+    (singular or not square). *)
+let det_rank m =
+  let nr = rows m and nc = cols m in
+  let a = copy m in
+  let sign = ref 1 and prev = ref B.one and r = ref 0 in
+  for c = 0 to nc - 1 do
+    if !r < nr then begin
+      (* Pivot: any nonzero entry in column c at or below row r. *)
+      let piv = ref !r in
+      while !piv < nr && B.is_zero (get a !piv c) do
+        incr piv
+      done;
+      if !piv < nr then begin
+        if !piv <> !r then begin
+          swap_rows a !r !piv;
+          sign := - !sign
+        end;
+        let arc = get a !r c in
+        for i = !r + 1 to nr - 1 do
+          for j = c + 1 to nc - 1 do
+            set a i j
+              (B.div
+                 (B.sub (B.mul arc (get a i j)) (B.mul (get a i c) (get a !r j)))
+                 !prev)
+          done;
+          set a i c B.zero
+        done;
+        prev := arc;
+        incr r
+      end
+    end
+  done;
+  let full = !r = nr && !r = nc in
+  (!r, if not full then B.zero else if !sign < 0 then B.neg !prev else !prev)
+
+(** [det_bareiss m] is the exact determinant, from {!det_rank}. *)
 let det_bareiss m =
   if not (is_square m) then invalid_arg "Zmatrix.det_bareiss: not square";
-  let n = rows m in
-  if n = 0 then B.one
-  else begin
-    let a = copy m in
-    let sign = ref 1 in
-    let prev = ref B.one in
-    let result = ref None in
-    (try
-       for r = 0 to n - 2 do
-         (* Pivot: any nonzero entry in column r at or below row r. *)
-         if B.is_zero (get a r r) then begin
-           let piv = ref (-1) in
-           (try
-              for i = r + 1 to n - 1 do
-                if not (B.is_zero (get a i r)) then begin
-                  piv := i;
-                  raise Exit
-                end
-              done
-            with Exit -> ());
-           if !piv < 0 then begin
-             result := Some B.zero;
-             raise Exit
-           end;
-           swap_rows a r !piv;
-           sign := - !sign
-         end;
-         let arr = get a r r in
-         for i = r + 1 to n - 1 do
-           for j = r + 1 to n - 1 do
-             let v =
-               B.div
-                 (B.sub (B.mul arr (get a i j)) (B.mul (get a i r) (get a r j)))
-                 !prev
-             in
-             set a i j v
-           done;
-           set a i r B.zero
-         done;
-         prev := arr
-       done
-     with Exit -> ());
-    match !result with
-    | Some d -> d
-    | None ->
-        let d = get a (n - 1) (n - 1) in
-        if !sign < 0 then B.neg d else d
-  end
+  snd (det_rank m)
 
 let det = det_bareiss
 
 let is_singular m = B.is_zero (det_bareiss m)
 
-let rank m = Qmatrix.rank (to_qmatrix m)
+let rank m = fst (det_rank m)
 
 (* ------------------------------------------------------------------ *)
 (* Batched Lemma 3.2 singularity                                       *)

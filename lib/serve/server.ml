@@ -21,29 +21,15 @@
    the daemon or other connections. *)
 
 module Json = Commx_util.Json
-module Bm = Commx_util.Bitmat
 module Tx = Commx_util.Txtable
 module Clock = Commx_util.Clock
 module Telemetry = Commx_util.Telemetry
 module Stats = Commx_util.Stats
 module Sigguard = Commx_util.Sigguard
 module Logging = Commx_util.Logging
-module Prng = Commx_util.Prng
 module Pool = Commx_util.Pool
 module Faults = Commx_util.Faults
-module Zm = Commx_linalg.Zmatrix
-module B = Commx_bigint.Bigint
-module Params = Commx_core.Params
-module H = Commx_core.Hard_instance
-module L32 = Commx_core.Lemma32
-module Bounds = Commx_core.Bounds
 module E = Commx_comm.Exact_cc
-module Protocol = Commx_comm.Protocol
-module Truth_matrix = Commx_comm.Truth_matrix
-module Rank_bound = Commx_comm.Rank_bound
-module Halves = Commx_protocols.Halves
-module Trivial = Commx_protocols.Trivial
-module Fingerprint = Commx_protocols.Fingerprint
 
 type config = {
   socket_path : string;
@@ -293,149 +279,8 @@ let record_latency t dt =
   Mutex.unlock t.latm;
   Telemetry.observe t.hist (int_of_float (dt *. 1e6))
 
-(* ------------------------------------------------------------------ *)
-(* Content keys                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let bitmat_key m =
-  let buf = Buffer.create 80 in
-  Buffer.add_string buf (Printf.sprintf "%dx%d:" (Bm.rows m) (Bm.cols m));
-  for i = 0 to Bm.rows m - 1 do
-    if i > 0 then Buffer.add_char buf '.';
-    for j = 0 to Bm.cols m - 1 do
-      Buffer.add_char buf (if Bm.get m i j then '1' else '0')
-    done
-  done;
-  Buffer.contents buf
-
-let zmatrix_key m =
-  let buf = Buffer.create 80 in
-  Buffer.add_string buf (Printf.sprintf "%dx%d:" (Zm.rows m) (Zm.cols m));
-  for i = 0 to Zm.rows m - 1 do
-    for j = 0 to Zm.cols m - 1 do
-      Buffer.add_string buf (B.to_string (Zm.get m i j));
-      Buffer.add_char buf ','
-    done
-  done;
-  Buffer.contents buf
-
-let content_key (req : Wire.request) =
-  match req with
-  | Wire.Ping | Wire.Stats | Wire.Shutdown | Wire.Dump_trace -> None
-  | Wire.Exact_cc { matrix; _ } ->
-      (* Canonical, not literal: boards that differ only by duplicated
-         rows or columns, or by complementing a board whose ones are
-         the majority, alias.  Row/column order is kept, so permuted
-         and transposed boards get distinct keys. *)
-      Some ("exact_cc:" ^ E.canonical_key matrix)
-  | Wire.Singular { matrix } -> Some ("singular:" ^ zmatrix_key matrix)
-  | Wire.Lemma32 { n; k; seed } ->
-      Some (Printf.sprintf "lemma32:%d:%d:%d" n k seed)
-  | Wire.Lower_bounds { matrix } -> Some ("lower_bounds:" ^ bitmat_key matrix)
-  | Wire.Protocol_run { proto; n; k; seed; epsilon } ->
-      Some (Printf.sprintf "protocol:%s:%d:%d:%d:%h" proto n k seed epsilon)
-  | Wire.Rank_batch { matrices } ->
-      Some
-        ("rank_batch:"
-        ^ String.concat "|"
-            (Array.to_list (Array.map bitmat_key matrices)))
-
-(* ------------------------------------------------------------------ *)
-(* Compute handlers (worker side)                                      *)
-(* ------------------------------------------------------------------ *)
-
-let require_params ~n ~k =
-  if not (Params.is_valid ~n ~k) then
-    failwith (Printf.sprintf "invalid parameters n=%d k=%d" n k);
-  Params.make ~n ~k
-
-(* Each handler returns (cacheable result fields, per-request fields).
-   Only the former go into the result cache; a cache hit re-serves them
-   with fresh per-request fields. *)
-let exec w (env : Wire.envelope) ~tag ~cancel =
-  match env.req with
-  | Wire.Ping | Wire.Stats | Wire.Shutdown | Wire.Dump_trace ->
-      (* Answered inline by the acceptor; never queued. *)
-      assert false
-  | Wire.Exact_cc { matrix; _ } ->
-      let key_tag = Option.value tag ~default:0 in
-      let v, st = E.search ~table:w.table ~key_tag ?cancel matrix in
-      ( [ ("value", Json.Int v);
-          ("canon_rows", Json.Int st.E.canon_rows);
-          ("canon_cols", Json.Int st.E.canon_cols);
-          ("root_lower", Json.Int st.E.root_lower);
-          ("root_upper", Json.Int st.E.root_upper) ],
-        [ ("nodes", Json.Int st.E.nodes);
-          ("table_hits", Json.Int st.E.table_hits);
-          ("table_misses", Json.Int st.E.table_misses) ] )
-  | Wire.Singular { matrix } ->
-      if not (Zm.is_square matrix) then failwith "matrix is not square";
-      let d = Zm.det matrix in
-      ( [ ("dimension", Json.Int (Zm.rows matrix));
-          ("rank", Json.Int (Zm.rank matrix));
-          ("det", Json.String (B.to_string d));
-          ("singular", Json.Bool (B.is_zero d)) ],
-        [] )
-  | Wire.Lemma32 { n; k; seed } ->
-      let p = require_params ~n ~k in
-      let g = Prng.create seed in
-      let f = H.random_free g p in
-      let crit = L32.criterion p f in
-      let direct = L32.is_singular_direct (H.build_m p f) in
-      ( [ ("criterion", Json.Bool crit);
-          ("direct", Json.Bool direct);
-          ("agrees", Json.Bool (crit = direct)) ],
-        [] )
-  | Wire.Lower_bounds { matrix } ->
-      let nr = Bm.rows matrix and nc = Bm.cols matrix in
-      let tm =
-        Truth_matrix.build (List.init nr Fun.id) (List.init nc Fun.id)
-          (fun i j -> Bm.get matrix i j)
-      in
-      (* The exact rectangle-cover bound enumerates covers; keep it to
-         boards small enough that it cannot stall a worker. *)
-      let r = Rank_bound.analyze tm ~exact_rect:(nr * nc <= 64) in
-      ( [ ("gf2_rank", Json.Int r.Rank_bound.gf2);
-          ("rational_rank", Json.Int r.Rank_bound.rational);
-          ("log_rank_bits", Json.Float r.Rank_bound.log_rank);
-          ("fooling_set", Json.Int r.Rank_bound.fooling);
-          ("fooling_bits", Json.Float r.Rank_bound.fooling_bits);
-          ("cover_bits", Json.Float r.Rank_bound.cover_bits);
-          ("trivial_upper_bits", Json.Float r.Rank_bound.trivial_upper) ],
-        [] )
-  | Wire.Protocol_run { proto; n; k; seed; epsilon } ->
-      let p = require_params ~n ~k in
-      let g = Prng.create seed in
-      let m = H.build_m p (H.random_free g p) in
-      let alice, bob = Halves.split_pi0 m in
-      let truth = Zm.is_singular m in
-      let got, bits =
-        match proto with
-        | "trivial" -> Protocol.execute (Trivial.singularity ~k) alice bob
-        | "fingerprint" ->
-            let rp = Fingerprint.singularity ~n ~k ~epsilon in
-            Protocol.execute
-              (rp.Commx_comm.Randomized.run_seeded ~seed:(seed + 1))
-              alice bob
-        | other -> failwith (Printf.sprintf "unknown protocol %S" other)
-      in
-      ( [ ("protocol", Json.String proto);
-          ("answer", Json.Bool got);
-          ("truth", Json.Bool truth);
-          ("agrees", Json.Bool (got = truth));
-          ("bits", Json.Int bits);
-          ("trivial_upper_bits", Json.Int (Bounds.trivial_upper_bits ~n ~k)) ],
-        [] )
-  | Wire.Rank_batch { matrices } ->
-      let ranks = Bm.rank_batch matrices in
-      ( [ ( "values",
-            Json.List (Array.to_list (Array.map (fun v -> Json.Int v) ranks))
-          );
-          ("count", Json.Int (Array.length ranks)) ],
-        [] )
-
 let wall_us_field t0 =
-  ("wall_us", Json.Int (int_of_float ((Clock.now_s () -. t0) *. 1e6)))
+  Ops.wall_us_field (int_of_float ((Clock.now_s () -. t0) *. 1e6))
 
 (* Chaos site on result-cache insertion: the result is already
    computed, so an injected fault here is contained — the entry is
@@ -454,11 +299,16 @@ let cache_insert t job core =
           Logging.warn t.cfg.logger
             (Printf.sprintf "chaos: cache insertion dropped at %s" site))
 
-(* A reply's diagnostic integer ("nodes", "lower_bound", ...), when
-   the handler produced one — for the slow-query log and trace spans,
-   which must not care WHICH arm built the reply. *)
-let reply_int reply key =
-  match Json.member key reply with Some (Json.Int v) -> Some v | _ -> None
+(* The reply's diagnostic integers among [keys] ("nodes",
+   "lower_bound", ...) — for the slow-query log and trace spans, which
+   must not care WHICH arm built the reply. *)
+let reply_ints reply keys =
+  List.filter_map
+    (fun key ->
+      match Json.member key reply with
+      | Some (Json.Int v) -> Some (key, v)
+      | _ -> None)
+    keys
 
 (* One line per slow request, at warn so the default logger shows it:
    the canonical key tag, search effort and certified bounds of the
@@ -467,11 +317,6 @@ let slow_query_log t job ~outcome ~wall reply =
   match t.cfg.slow_ms with
   | Some ms when wall *. 1000.0 > ms ->
       Telemetry.incr c_slow;
-      let opt key =
-        match reply_int reply key with
-        | Some v -> [ (key, Json.Int v) ]
-        | None -> []
-      in
       Logging.warn t.cfg.logger
         ~fields:
           ([ ("op", Json.String job.env.Wire.op);
@@ -482,8 +327,10 @@ let slow_query_log t job ~outcome ~wall reply =
              ( "tag",
                match job.tag with Some tg -> Json.Int tg | None -> Json.Null )
            ]
-          @ opt "nodes" @ opt "table_hits" @ opt "lower_bound"
-          @ opt "upper_bound")
+          @ List.map
+              (fun (k, v) -> (k, Json.Int v))
+              (reply_ints reply
+                 [ "nodes"; "table_hits"; "lower_bound"; "upper_bound" ]))
         "slow_query"
   | _ -> ()
 
@@ -508,13 +355,11 @@ let process t w job =
         let extra =
           match env.req with
           | Wire.Exact_cc _ ->
-              [ ("nodes", Json.Int 0); ("table_hits", Json.Int 1);
-                ("table_misses", Json.Int 0) ]
+              Ops.search_fields ~nodes:0 ~table_hits:1 ~table_misses:0
           | _ -> []
         in
         Wire.ok ~id:env.id ~op:env.op
-          (core @ extra
-          @ [ ("cache", Json.String "hit"); wall_us_field job.t0 ])
+          (core @ extra @ [ Ops.cache_field "hit"; wall_us_field job.t0 ])
     | Some _ | None ->
         if
           match job.deadline with
@@ -539,25 +384,27 @@ let process t w job =
           let cancel =
             match env.req with
             | Wire.Exact_cc _ ->
+                span := "search";
                 Some (Pool.Token.create ?deadline:job.deadline ())
             | _ -> None
           in
-          (match env.req with
-          | Wire.Exact_cc _ -> span := "search"
-          | _ -> ());
           Mutex.lock w.qm;
           w.cur_cancel <- cancel;
           Mutex.unlock w.qm;
           let reply =
             Mutex.lock w.tm;
-            match exec w env ~tag:job.tag ~cancel with
+            match
+              Ops.exec ~table:w.table
+                ~key_tag:(Option.value job.tag ~default:0)
+                ?cancel env.req
+            with
             | core, extra ->
                 Mutex.unlock w.tm;
                 cache_insert t job core;
                 let label = if job.use_cache then "miss" else "bypass" in
                 Wire.ok ~id:env.id ~op:env.op
                   (core @ extra
-                  @ [ ("cache", Json.String label); wall_us_field job.t0 ])
+                  @ [ Ops.cache_field label; wall_us_field job.t0 ])
             | exception E.Timed_out { lower; upper; nodes } ->
                 Mutex.unlock w.tm;
                 Atomic.incr t.errors;
@@ -608,11 +455,6 @@ let process t w job =
         dur_ns;
         args }
     in
-    let opt key =
-      match reply_int reply key with
-      | Some v -> [ (key, string_of_int v) ]
-      | None -> []
-    in
     Obs.Recorder.record t.recorder
       [ { Obs.Recorder.name = "request";
           id = root;
@@ -626,7 +468,9 @@ let process t w job =
               ("id", Json.to_string env.id) ] };
         child "queue_wait" job.t0_ns (t_exec - job.t0_ns) [];
         child !span t_exec (t_done - t_exec)
-          (opt "nodes" @ opt "table_hits");
+          (List.map
+             (fun (k, v) -> (k, string_of_int v))
+             (reply_ints reply [ "nodes"; "table_hits" ]));
         child "reply_write" t_done (t_written - t_done) [] ]
   end;
   slow_query_log t job ~outcome:!outcome
@@ -974,7 +818,7 @@ let healthz t =
 (* ------------------------------------------------------------------ *)
 
 let dispatch t conn (env : Wire.envelope) t0 t0_ns =
-  let cache_key = content_key env.req in
+  let cache_key = Ops.content_key env.req in
   let use_cache =
     match env.req with Wire.Exact_cc { use_cache; _ } -> use_cache | _ -> true
   in

@@ -152,6 +152,18 @@ let int_matrix obj =
       let a = Array.of_list rows in
       Zm.init nr nc (fun i j -> a.(i).(j))
 
+(* [n] and [k] of the seeded-instance ops.  The instance is 2n x 2n
+   with k-bit entries and its work grows about as n^3, with no cancel
+   token to stop it, so both are held to the matrix wire limits. *)
+let max_k = 64
+
+let instance_params obj =
+  let n = int_field ~default:7 obj "n" and k = int_field ~default:2 obj "k" in
+  if n > max_matrix_side / 2 then
+    bad "n=%d exceeds the wire limit (2n <= %d)" n max_matrix_side;
+  if k > max_k then bad "k=%d exceeds the %d-bit wire limit" k max_k;
+  (n, k)
+
 let request_of obj op =
   match op with
   | "ping" -> Ping
@@ -164,16 +176,15 @@ let request_of obj op =
           use_cache = bool_field ~default:true obj "use_cache" }
   | "singular" -> Singular { matrix = int_matrix obj }
   | "lemma32" ->
-      Lemma32
-        { n = int_field ~default:7 obj "n";
-          k = int_field ~default:2 obj "k";
-          seed = int_field ~default:0 obj "seed" }
+      let n, k = instance_params obj in
+      Lemma32 { n; k; seed = int_field ~default:0 obj "seed" }
   | "lower_bounds" -> Lower_bounds { matrix = bit_matrix obj }
   | "protocol" ->
+      let n, k = instance_params obj in
       Protocol_run
         { proto = string_field ~default:"trivial" obj "protocol";
-          n = int_field ~default:7 obj "n";
-          k = int_field ~default:2 obj "k";
+          n;
+          k;
           seed = int_field ~default:0 obj "seed";
           epsilon = float_field ~default:0.01 obj "epsilon" }
   | "rank_batch" -> Rank_batch { matrices = bit_matrices obj }

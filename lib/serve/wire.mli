@@ -29,7 +29,9 @@ type request =
           (entries as ints or decimal strings). *)
   | Lemma32 of { n : int; k : int; seed : int }
       (** Lemma 3.2 spot check on the seeded random hard instance:
-          criterion vs. ground truth. *)
+          criterion vs. ground truth.  The 2n x 2n instance is held to
+          the matrix wire limit ([2n <= max_matrix_side]) and [k <= 64];
+          the same limits apply to [Protocol_run]. *)
   | Lower_bounds of { matrix : Commx_util.Bitmat.t }
       (** Fooling-set and rank lower bounds ({!Commx_comm.Rank_bound}
           report) of a boolean matrix. *)

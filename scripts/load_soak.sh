@@ -2,7 +2,8 @@
 # Load-replay soak for the ccmx engine and serve daemon.
 #
 # Two passes over the same seeded traffic stream:
-#   1. in-process — `ccmx bench load` drives the engine directly and
+#   1. in-process — `ccmx bench load` calls the op layer
+#      (Commx_serve.Ops, the code a daemon worker runs) directly and
 #      records per-kind latency SLOs plus the batched-kernel speedups.
 #   2. daemon     — the identical stream replays against a live
 #      2-worker `ccmx serve` over its Unix socket.
@@ -11,9 +12,11 @@
 # kernels agree with scalar), both emit a well-formed schema-v3
 # BENCH_load.json (finite, ordered p50 <= p95 <= p99; positive qps;
 # speedup rows present), and — the point of the exercise — the two
-# answers digests are IDENTICAL: the daemon returned bit-for-bit the
-# answers the in-process engine computed, so the wire path introduced
-# zero wrong answers.
+# answers digests are IDENTICAL.  A digest covers every cacheable
+# reply field of every request (all fields but the envelope and the
+# per-request nodes/table_hits/table_misses/cache/wall_us), so the
+# daemon returned bit-for-bit the answers the in-process op layer
+# computed and the wire path introduced zero wrong answers.
 #
 # The stream is a pure function of (SEED, REQUESTS), so a failure
 # reproduces by re-running with the same arguments.  Defaults are

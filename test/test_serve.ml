@@ -14,6 +14,7 @@ module Telemetry = Commx_util.Telemetry
 module Logging = Commx_util.Logging
 module Obs = Commx_serve.Obs
 module Wire = Commx_serve.Wire
+module Ops = Commx_serve.Ops
 module Cache = Commx_serve.Cache
 module Server = Commx_serve.Server
 module Client = Commx_serve.Client
@@ -151,6 +152,17 @@ let test_wire_parse_rejections () =
              Json.List
                (List.init 65 (fun _ -> Json.String (String.make 65 '0')))) ]))
     "wire limit";
+  (* the seeded-instance ops: 2n x 2n is held to the matrix limit and
+     k to 64 bits, so one short line cannot pin a worker *)
+  expect_parse_error {|{"op":"lemma32","n":33}|} "wire limit";
+  expect_parse_error {|{"op":"protocol","n":2001}|} "wire limit";
+  expect_parse_error {|{"op":"protocol","n":4611686018427387903}|}
+    "wire limit";
+  expect_parse_error {|{"op":"protocol","k":65}|} "wire limit";
+  expect_parse_error {|{"op":"lemma32","n":7,"k":1000}|} "wire limit";
+  (match Wire.parse {|{"op":"protocol","n":31,"k":64}|} with
+  | Ok { req = Wire.Protocol_run { n = 31; k = 64; _ }; _ } -> ()
+  | _ -> Alcotest.fail "n=31, k=64 is inside the wire limits");
   (* the id is recovered even from a bad request so the error reply
      still correlates *)
   match Wire.parse {|{"op":"teleport","id":42}|} with
@@ -1127,6 +1139,60 @@ let test_serve_rank_batch () =
       | _ -> Alcotest.fail "oversized batch was accepted");
       assert_ok (rpc c (Json.Obj [ ("op", Json.String "ping") ])))
 
+(* Every compute op through a live daemon: each ok reply's cacheable
+   fields equal Ops.exec on a fresh table, field for field, and a
+   request the op rejects comes back as an error reply. *)
+let test_serve_answers_equal_ops () =
+  let zrows rows =
+    Json.List
+      (List.map (fun r -> Json.List (List.map (fun v -> Json.Int v) r)) rows)
+  in
+  let req op fields = Json.Obj (("op", Json.String op) :: fields) in
+  let singular rows = req "singular" [ ("matrix", zrows rows) ] in
+  let proto name =
+    req "protocol"
+      [ ("protocol", Json.String name); ("n", Json.Int 7); ("k", Json.Int 2);
+        ("seed", Json.Int 3) ]
+  in
+  let cases =
+    [ req "exact_cc" [ ("matrix", board_json) ];
+      singular [ [ 2; 1; 0 ]; [ 1; 3; 1 ]; [ 0; 1; 4 ] ];
+      singular [ [ 1; 2; 3 ]; [ 2; 4; 6 ]; [ 1; 0; 1 ] ];
+      req "lemma32"
+        [ ("n", Json.Int 7); ("k", Json.Int 2); ("seed", Json.Int 5) ];
+      req "lower_bounds" [ ("matrix", board_json) ];
+      proto "trivial";
+      proto "fingerprint";
+      req "rank_batch"
+        [ ("matrices", Json.List [ board_json; slow_board_json ]) ] ]
+  in
+  with_server (fun path ->
+      let c = connect path in
+      Fun.protect ~finally:(fun () -> close_client c) @@ fun () ->
+      List.iter
+        (fun line ->
+          let reply = rpc c line in
+          assert_ok reply;
+          let env =
+            match Wire.parse (Json.to_string line) with
+            | Ok env -> env
+            | Error (_, msg) -> Alcotest.fail msg
+          in
+          let want, _ =
+            Ops.exec ~table:(Commx_util.Txtable.create ()) ~key_tag:0 env.req
+          in
+          Alcotest.(check string)
+            (env.op ^ " cacheable fields")
+            (Json.to_string (Json.Obj want))
+            (Json.to_string (Json.Obj (Ops.cacheable reply))))
+        cases;
+      let non_square = rpc c (singular [ [ 1; 2; 3 ]; [ 4; 5; 6 ] ]) in
+      (match Json.member "ok" non_square with
+      | Some (Json.Bool false) -> ()
+      | _ -> Alcotest.failf "non-square singular answered: %s"
+               (Json.to_string non_square));
+      assert_ok (rpc c (Json.Obj [ ("op", Json.String "ping") ])))
+
 let test_client_end_to_end () =
   with_server (fun path ->
       let cl = Client.create ~socket_path:path () in
@@ -1208,6 +1274,8 @@ let () =
             test_serve_snapshot_restart_stays_warm;
           Alcotest.test_case "corrupt snapshot rejected" `Quick
             test_serve_rejects_corrupt_snapshot;
+          Alcotest.test_case "answers equal Ops answers" `Quick
+            test_serve_answers_equal_ops;
           Alcotest.test_case "rank_batch op end-to-end" `Quick
             test_serve_rank_batch ] );
       ( "self-healing",
