@@ -695,7 +695,9 @@ let serve_cmd =
       & info [ "max-queue" ] ~docv:"N"
           ~doc:
             "Admission bound per worker queue; requests beyond it get \
-             an immediate overload error (default: 64).")
+             an immediate overload error (default: 64).  Requests queue \
+             on their affine worker; a worker whose queue is empty \
+             steals the oldest job queued on a busy or dead peer.")
   in
   let drain_timeout =
     Arg.(

@@ -3,15 +3,32 @@
      acceptor (caller's domain)
        select loop: accept / read lines / parse
        ping, stats, shutdown answered inline
-       compute ops -> worker queues (affinity: table tag mod workers)
+       compute ops -> worker queues (affinity: exact CC by table tag
+       mod workers, other ops by key hash)
      worker domains (one Txtable segment each)
-       pop job, result-cache lookup, else compute, deliver reply
+       pop own queue, else steal; result-cache lookup, else compute,
+       deliver reply
+
+   Stealing: a worker whose own queue is empty takes the oldest job
+   queued on a peer that is busy (a job in flight) or dead — never on
+   an idle live peer, so an idle daemon keeps exact affinity and warm
+   segments, while a cheap request queued behind a long exact-CC
+   search runs on an idle worker instead of waiting the search out.
+   The thief computes on its own segment under its own [tm]; table
+   keys are tag-salted, so only warmth moves, never answers.  Pushing
+   a job signals its owner, plus every peer when the owner is busy or
+   dead; taking a job with others left behind, or dying, signals every
+   peer.  A dead worker's queue is thus taken over by live peers, or
+   waits for its respawn when there are none.
 
    Locks, leaf-only and never nested with each other:
      conn.cm     sequence numbers, pending replies, inflight count
-     worker.qm   job queue + published table stats
+     t.sm        every worker's queue, current job, cancel token,
+                 liveness and published table stats; each worker
+                 waits on its own [qc] under it
+     worker.tm   that worker's table: compute vs. periodic snapshot
      latm        latency ring
-     (Cache and Tags carry their own internal mutexes.)
+     (Cache, Tags and Telemetry carry their own internal mutexes.)
 
    Replies are written by whichever worker finishes the job, but
    strictly in per-connection request order: a finished reply parks in
@@ -131,6 +148,7 @@ let c_write_timeouts = Telemetry.counter "serve.write_timeouts"
 let c_chaos_cache = Telemetry.counter "serve.chaos_cache_skips"
 let c_chaos_snapshot = Telemetry.counter "serve.chaos_snapshot_skips"
 let c_slow = Telemetry.counter "serve.slow_queries"
+let c_steals = Telemetry.counter "serve.steals"
 
 (* ------------------------------------------------------------------ *)
 (* Connections and jobs                                                *)
@@ -162,15 +180,15 @@ type job = {
   use_cache : bool;
 }
 
+(* [q] and the mutable fields other than [jobs_done] (touched only by
+   the worker's own domain) are guarded by the daemon's [sm]. *)
 type worker = {
   wid : int;
   table : Tx.t;
   tm : Mutex.t;  (* table access: compute vs. periodic snapshot *)
-  q : job Queue.t;
-  qm : Mutex.t;
-  qc : Condition.t;
-  mutable queued : int;
-  mutable current : job option;  (* in flight, for crash reporting *)
+  q : job Queue.t;  (* jobs routed here by affinity *)
+  qc : Condition.t;  (* this worker's wake-up, waited on under [sm] *)
+  mutable current : job option;  (* in flight: crash reply, steal rule *)
   mutable cur_cancel : Pool.Token.t option;  (* to unstick a drain *)
   mutable alive : bool;  (* false once the domain body has exited *)
   mutable jobs_done : int;  (* chaos site numbering, survives respawn *)
@@ -186,6 +204,7 @@ type t = {
   cache : Cache.t;
   tags : Cache.Tags.t;
   workers : worker array;
+  sm : Mutex.t;  (* scheduler: all worker queues and state *)
   latm : Mutex.t;
   lat : float array;  (* seconds, ring buffer *)
   mutable lat_n : int;  (* total observations ever *)
@@ -388,9 +407,9 @@ let process t w job =
                 Some (Pool.Token.create ?deadline:job.deadline ())
             | _ -> None
           in
-          Mutex.lock w.qm;
+          Mutex.lock t.sm;
           w.cur_cancel <- cancel;
-          Mutex.unlock w.qm;
+          Mutex.unlock t.sm;
           let reply =
             Mutex.lock w.tm;
             match
@@ -425,9 +444,9 @@ let process t w job =
                 outcome := "error";
                 Wire.error ~id:env.id (Printexc.to_string e)
           in
-          Mutex.lock w.qm;
+          Mutex.lock t.sm;
           w.cur_cancel <- None;
-          Mutex.unlock w.qm;
+          Mutex.unlock t.sm;
           reply
         end
   in
@@ -439,10 +458,14 @@ let process t w job =
   Obs.observe_op ~op:env.op ~outcome:!outcome
     (int_of_float (Clock.ns_to_us (t_done - job.t0_ns)));
   let st = Tx.stats w.table and entries = Tx.length w.table in
-  Mutex.lock w.qm;
+  Mutex.lock t.sm;
   w.pub_stats <- st;
   w.pub_entries <- entries;
-  Mutex.unlock w.qm;
+  (* Idle before the reply leaves, too: the client's next request must
+     find this worker idle, or a peer would steal it off the warm
+     segment. *)
+  w.current <- None;
+  Mutex.unlock t.sm;
   deliver t ~finish:true job.jconn job.seq (Wire.to_line reply);
   let t_written = Clock.now_ns () in
   if Obs.Recorder.enabled t.recorder then begin
@@ -495,36 +518,46 @@ let dump_trace_on ~event t =
                (Printexc.to_string e)))
   | _ -> ()
 
+(* Wake every peer: jobs queued behind [w] just became stealable.
+   Call under [t.sm]. *)
+let poke_peers t w =
+  Array.iter (fun o -> if o != w then Condition.signal o.qc) t.workers
+
+(* The peer whose queue head is the oldest job that a busy or dead
+   owner cannot start, if any.  Call under [t.sm]. *)
+let steal_victim t w =
+  Array.fold_left
+    (fun best o ->
+      if o == w || Queue.is_empty o.q || (o.current = None && o.alive) then
+        best
+      else
+        match best with
+        | Some b when (Queue.peek b.q).t0_ns <= (Queue.peek o.q).t0_ns -> best
+        | _ -> Some o)
+    None t.workers
+
 (* The crash path: a worker domain whose body raised answers its
-   in-flight request with a structured error, hands its queue to the
-   surviving workers (the jobs were already admitted; their clients
-   are waiting), and exits the domain cleanly so the acceptor can
-   join and respawn it.  Never raises — an exception escaping here
-   would surface in [Domain.join] and take the daemon down, which is
+   in-flight request with a structured error, marks itself dead —
+   which makes its queue stealable, so live peers take the admitted
+   jobs over — and exits the domain cleanly so the acceptor can join
+   and respawn it.  Never raises — an exception escaping here would
+   surface in [Domain.join] and take the daemon down, which is
    exactly what crash isolation exists to prevent. *)
 let worker_crashed t w exn =
   try
     Telemetry.incr c_crashes;
-    let nw = Array.length t.workers in
-    Mutex.lock w.qm;
+    Mutex.lock t.sm;
     let cur = w.current in
     w.current <- None;
     w.cur_cancel <- None;
-    let orphans = ref [] in
-    if nw > 1 then begin
-      (* With a single worker the queue stays put for the respawn. *)
-      while not (Queue.is_empty w.q) do
-        orphans := Queue.pop w.q :: !orphans
-      done;
-      w.queued <- 0
-    end;
     w.alive <- false;
-    Mutex.unlock w.qm;
+    poke_peers t w;
+    Mutex.unlock t.sm;
     Logging.error t.cfg.logger
       ~fields:[ ("worker", Json.Int w.wid) ]
       (Printf.sprintf "worker %d crashed: %s" w.wid (Printexc.to_string exn));
     dump_trace_on ~event:"worker_crash" t;
-    (match cur with
+    match cur with
     | None -> ()
     | Some job ->
         Atomic.incr t.errors;
@@ -532,35 +565,7 @@ let worker_crashed t w exn =
           (Wire.to_line
              (Wire.error ~code:"worker_crashed" ~id:job.env.id
                 (Printf.sprintf "worker %d crashed handling this request: %s"
-                   w.wid (Printexc.to_string exn)))));
-    let targets =
-      Array.of_list
-        (List.filter
-           (fun o ->
-             o.wid <> w.wid
-             &&
-             (Mutex.lock o.qm;
-              let a = o.alive in
-              Mutex.unlock o.qm;
-              a))
-           (Array.to_list t.workers))
-    in
-    let requeue tgt job =
-      Mutex.lock tgt.qm;
-      tgt.queued <- tgt.queued + 1;
-      Queue.push job tgt.q;
-      Condition.signal tgt.qc;
-      Mutex.unlock tgt.qm
-    in
-    List.iteri
-      (fun i job ->
-        if Array.length targets > 0 then
-          requeue targets.(i mod Array.length targets) job
-        else
-          (* Everyone else is down too; park it back on our own queue
-             for whichever respawn comes first. *)
-          requeue w job)
-      (List.rev !orphans)
+                   w.wid (Printexc.to_string exn))))
   with e ->
     Logging.error t.cfg.logger
       ~fields:[ ("worker", Json.Int w.wid) ]
@@ -568,25 +573,29 @@ let worker_crashed t w exn =
          (Printexc.to_string e))
 
 let worker_loop t w =
+  let take q =
+    let job = Queue.pop q in
+    w.current <- Some job;
+    if not (Queue.is_empty q) then poke_peers t w;
+    job
+  in
   let rec next () =
-    Mutex.lock w.qm;
+    Mutex.lock t.sm;
     let rec await () =
-      if not (Queue.is_empty w.q) then begin
-        let job = Queue.pop w.q in
-        w.queued <- w.queued - 1;
-        w.current <- Some job;
-        Some job
-      end
-      else if Atomic.get t.stop then None
-      else begin
-        Condition.wait w.qc w.qm;
-        await ()
-      end
+      if not (Queue.is_empty w.q) then Some (take w.q, false)
+      else
+        match steal_victim t w with
+        | Some o -> Some (take o.q, true)
+        | None when Atomic.get t.stop -> None
+        | None ->
+            Condition.wait w.qc t.sm;
+            await ()
     in
     let job = await () in
-    Mutex.unlock w.qm;
+    Mutex.unlock t.sm;
     match job with
-    | Some job ->
+    | Some (job, stolen) ->
+        if stolen then Telemetry.incr c_steals;
         (* The chaos crash site sits OUTSIDE [process]'s own exception
            handling, so an injected fault here exercises the real
            crash path, not the per-request error reply.  The site is
@@ -598,9 +607,6 @@ let worker_loop t w =
         Faults.point t.cfg.chaos
           ~site:(Printf.sprintf "serve:worker:%d:job%d" w.wid n);
         process t w job;
-        Mutex.lock w.qm;
-        w.current <- None;
-        Mutex.unlock w.qm;
         next ()
     | None -> ()
   in
@@ -618,40 +624,47 @@ let latency_snapshot t =
   Mutex.unlock t.latm;
   (xs, total)
 
+(* Every worker's scheduler state and published table stats, read in
+   one critical section; index = worker id. *)
+type worker_view = {
+  queued : int;
+  busy : bool;
+  up : bool;
+  tstats : Tx.stats;
+  tentries : int;
+}
+
+let worker_views t =
+  Mutex.lock t.sm;
+  let vs =
+    Array.map
+      (fun w ->
+        { queued = Queue.length w.q;
+          busy = w.current <> None;
+          up = w.alive;
+          tstats = w.pub_stats;
+          tentries = w.pub_entries })
+      t.workers
+  in
+  Mutex.unlock t.sm;
+  vs
+
+let sum_views vs f = Array.fold_left (fun acc v -> acc + f v) 0 vs
+
 let stats_fields t =
   let xs, total = latency_snapshot t in
   let pct p =
     if Array.length xs = 0 then 0.0 else Stats.percentile xs p *. 1e6
   in
   let cs = Cache.stats t.cache in
-  let th = ref 0 and tm = ref 0 and te = ref 0 and ts = ref 0 in
-  let entries = ref 0 in
-  Array.iter
-    (fun w ->
-      Mutex.lock w.qm;
-      let st = w.pub_stats and e = w.pub_entries in
-      Mutex.unlock w.qm;
-      th := !th + st.Tx.hits;
-      tm := !tm + st.Tx.misses;
-      te := !te + st.Tx.evictions;
-      ts := !ts + st.Tx.stores;
-      entries := !entries + e)
-    t.workers;
-  let alive =
-    Array.fold_left
-      (fun acc w ->
-        Mutex.lock w.qm;
-        let a = w.alive in
-        Mutex.unlock w.qm;
-        if a then acc + 1 else acc)
-      0 t.workers
-  in
+  let vs = worker_views t in
+  let sum f = Json.Int (sum_views vs f) in
   [ ("protocol_version", Json.Int protocol_version);
     ("uptime_s", Json.Float (Clock.now_s () -. t.started));
     ("requests", Json.Int (Atomic.get t.requests));
     ("errors", Json.Int (Atomic.get t.errors));
     ("workers", Json.Int (Array.length t.workers));
-    ("workers_alive", Json.Int alive);
+    ("workers_alive", sum (fun v -> Bool.to_int v.up));
     ( "latency_us",
       Json.Obj
         [ ("count", Json.Int total);
@@ -669,11 +682,11 @@ let stats_fields t =
     ( "table",
       Json.Obj
         [ ("segments", Json.Int (Array.length t.workers));
-          ("entries", Json.Int !entries);
-          ("hits", Json.Int !th);
-          ("misses", Json.Int !tm);
-          ("evictions", Json.Int !te);
-          ("stores", Json.Int !ts) ] );
+          ("entries", sum (fun v -> v.tentries));
+          ("hits", sum (fun v -> v.tstats.Tx.hits));
+          ("misses", sum (fun v -> v.tstats.Tx.misses));
+          ("evictions", sum (fun v -> v.tstats.Tx.evictions));
+          ("stores", sum (fun v -> v.tstats.Tx.stores)) ] );
     ( "ops",
       (* Per-op latency summaries (merged across outcomes), quantiles
          from the cumulative telemetry buckets — the same numbers the
@@ -693,19 +706,14 @@ let stats_fields t =
     ( "queues",
       Json.List
         (Array.to_list
-           (Array.map
-              (fun w ->
-                Mutex.lock w.qm;
-                let queued = w.queued
-                and busy = w.current <> None
-                and a = w.alive in
-                Mutex.unlock w.qm;
+           (Array.mapi
+              (fun wid v ->
                 Json.Obj
-                  [ ("worker", Json.Int w.wid);
-                    ("queued", Json.Int queued);
-                    ("inflight", Json.Int (if busy then 1 else 0));
-                    ("alive", Json.Bool a) ])
-              t.workers)) );
+                  [ ("worker", Json.Int wid);
+                    ("queued", Json.Int v.queued);
+                    ("inflight", Json.Int (Bool.to_int v.busy));
+                    ("alive", Json.Bool v.up) ])
+              vs)) );
     ( "counters",
       Json.Obj
         (List.map (fun (k, v) -> (k, Json.Int v)) (Telemetry.counters ())) )
@@ -726,33 +734,18 @@ let metrics_body t =
     let tot = cs.Cache.hits + cs.Cache.misses in
     if tot = 0 then 0.0 else float_of_int cs.Cache.hits /. float_of_int tot
   in
-  let th = ref 0 and tm = ref 0 and te = ref 0 and ts = ref 0 in
-  let entries = ref 0 in
-  let alive = ref 0 in
-  let worker_gauges = ref [] in
-  Array.iter
-    (fun w ->
-      Mutex.lock w.qm;
-      let queued = w.queued
-      and busy = w.current <> None
-      and a = w.alive
-      and st = w.pub_stats
-      and e = w.pub_entries in
-      Mutex.unlock w.qm;
-      if a then incr alive;
-      th := !th + st.Tx.hits;
-      tm := !tm + st.Tx.misses;
-      te := !te + st.Tx.evictions;
-      ts := !ts + st.Tx.stores;
-      entries := !entries + e;
-      let l = [ ("worker", string_of_int w.wid) ] in
-      worker_gauges :=
-        (Obs.labeled "serve.table_entries" l, float_of_int e)
-        :: (Obs.labeled "serve.worker_alive" l, if a then 1.0 else 0.0)
-        :: (Obs.labeled "serve.inflight" l, if busy then 1.0 else 0.0)
-        :: (Obs.labeled "serve.queue_depth" l, float_of_int queued)
-        :: !worker_gauges)
-    t.workers;
+  let vs = worker_views t in
+  let sum = sum_views vs in
+  let worker_gauges =
+    Array.mapi
+      (fun wid v ->
+        let l = [ ("worker", string_of_int wid) ] in
+        [ (Obs.labeled "serve.queue_depth" l, float_of_int v.queued);
+          (Obs.labeled "serve.inflight" l, if v.busy then 1.0 else 0.0);
+          (Obs.labeled "serve.worker_alive" l, if v.up then 1.0 else 0.0);
+          (Obs.labeled "serve.table_entries" l, float_of_int v.tentries) ])
+      vs
+  in
   let counters =
     Telemetry.counters ()
     @ [ ("serve.requests", Atomic.get t.requests);
@@ -760,23 +753,23 @@ let metrics_body t =
         ("serve.cache_hits", cs.Cache.hits);
         ("serve.cache_misses", cs.Cache.misses);
         ("serve.cache_evictions", cs.Cache.evictions);
-        ("serve.table_hits", !th);
-        ("serve.table_misses", !tm);
-        ("serve.table_evictions", !te);
-        ("serve.table_stores", !ts) ]
+        ("serve.table_hits", sum (fun v -> v.tstats.Tx.hits));
+        ("serve.table_misses", sum (fun v -> v.tstats.Tx.misses));
+        ("serve.table_evictions", sum (fun v -> v.tstats.Tx.evictions));
+        ("serve.table_stores", sum (fun v -> v.tstats.Tx.stores)) ]
   in
   let gauges =
     Telemetry.gauges ()
     @ [ ("serve.uptime_seconds", now -. t.started);
         ("serve.workers", float_of_int (Array.length t.workers));
-        ("serve.workers_alive", float_of_int !alive);
+        ("serve.workers_alive", float_of_int (sum (fun v -> Bool.to_int v.up)));
         ("serve.cache_hit_ratio", hit_ratio);
         ("serve.cache_entries", float_of_int cs.Cache.entries);
         ("serve.cache_capacity", float_of_int t.cfg.cache_capacity);
         ("serve.cache_tags", float_of_int (Cache.Tags.count t.tags));
-        ("serve.table_entries_all", float_of_int !entries);
+        ("serve.table_entries_all", float_of_int (sum (fun v -> v.tentries)));
         ("serve.snapshot_age_seconds", now -. t.last_snapshot) ]
-    @ List.rev !worker_gauges
+    @ List.concat (Array.to_list worker_gauges)
   in
   Obs.render_metrics ~counters ~gauges
     ~histograms:(Telemetry.histograms ()) ()
@@ -786,28 +779,23 @@ let metrics_body t =
    snapshot recent enough that warm state would survive a kill. *)
 let healthz t =
   let nw = Array.length t.workers in
-  let alive = ref 0 and maxq = ref 0 in
-  Array.iter
-    (fun w ->
-      Mutex.lock w.qm;
-      if w.alive then incr alive;
-      if w.queued > !maxq then maxq := w.queued;
-      Mutex.unlock w.qm)
-    t.workers;
+  let vs = worker_views t in
+  let alive = sum_views vs (fun v -> Bool.to_int v.up)
+  and maxq = Array.fold_left (fun m v -> max m v.queued) 0 vs in
   let age = Clock.now_s () -. t.last_snapshot in
   let snapshot_ok =
     match t.cfg.snapshot_every_s with
     | Some s -> age < 3.0 *. s
     | None -> true
   in
-  let ok = !alive = nw && !maxq < t.cfg.max_queue && snapshot_ok in
+  let ok = alive = nw && maxq < t.cfg.max_queue && snapshot_ok in
   ( ok,
     Json.to_string
       (Json.Obj
          [ ("ok", Json.Bool ok);
            ("workers", Json.Int nw);
-           ("workers_alive", Json.Int !alive);
-           ("max_queue_depth", Json.Int !maxq);
+           ("workers_alive", Json.Int alive);
+           ("max_queue_depth", Json.Int maxq);
            ("queue_limit", Json.Int t.cfg.max_queue);
            ("snapshot_age_s", Json.Float age);
            ("snapshot_fresh", Json.Bool snapshot_ok) ])
@@ -854,9 +842,9 @@ let dispatch t conn (env : Wire.envelope) t0 t0_ns =
         { env; jconn = conn; seq; t0; t0_ns; deadline; tag; cache_key;
           use_cache }
       in
-      Mutex.lock w.qm;
-      if w.queued >= t.cfg.max_queue then begin
-        Mutex.unlock w.qm;
+      Mutex.lock t.sm;
+      if Queue.length w.q >= t.cfg.max_queue then begin
+        Mutex.unlock t.sm;
         Atomic.incr t.errors;
         Telemetry.incr c_overloaded;
         deliver t ~finish:true conn seq
@@ -867,10 +855,11 @@ let dispatch t conn (env : Wire.envelope) t0 t0_ns =
                    t.cfg.max_queue)))
       end
       else begin
-        w.queued <- w.queued + 1;
         Queue.push job w.q;
         Condition.signal w.qc;
-        Mutex.unlock w.qm
+        (* Behind a busy or dead owner the job is up for stealing. *)
+        if w.current <> None || not w.alive then poke_peers t w;
+        Mutex.unlock t.sm
       end
 
 let handle_line t conn line =
@@ -1085,9 +1074,7 @@ let run ?(stop = Atomic.make false) (cfg : config) =
           table = tables.(wid);
           tm = Mutex.create ();
           q = Queue.create ();
-          qm = Mutex.create ();
           qc = Condition.create ();
-          queued = 0;
           current = None;
           cur_cancel = None;
           alive = true;
@@ -1097,6 +1084,7 @@ let run ?(stop = Atomic.make false) (cfg : config) =
   in
   let t =
     { cfg; stop; cache; tags; workers;
+      sm = Mutex.create ();
       latm = Mutex.create ();
       lat = Array.make latency_ring 0.0;
       lat_n = 0;
@@ -1344,9 +1332,9 @@ let run ?(stop = Atomic.make false) (cfg : config) =
     Array.iteri
       (fun i w ->
         let dead =
-          Mutex.lock w.qm;
+          Mutex.lock t.sm;
           let d = not w.alive in
-          Mutex.unlock w.qm;
+          Mutex.unlock t.sm;
           d
         in
         if dead && !fatal = None then begin
@@ -1373,12 +1361,11 @@ let run ?(stop = Atomic.make false) (cfg : config) =
               (Option.get !fatal);
             (* Its queue will never be served; answer, don't strand. *)
             let stranded = ref [] in
-            Mutex.lock w.qm;
+            Mutex.lock t.sm;
             while not (Queue.is_empty w.q) do
               stranded := Queue.pop w.q :: !stranded
             done;
-            w.queued <- 0;
-            Mutex.unlock w.qm;
+            Mutex.unlock t.sm;
             List.iter
               (fun job ->
                 Atomic.incr t.errors;
@@ -1391,9 +1378,9 @@ let run ?(stop = Atomic.make false) (cfg : config) =
           end
           else begin
             respawn_times.(i) <- now :: recent;
-            Mutex.lock w.qm;
+            Mutex.lock t.sm;
             w.alive <- true;
-            Mutex.unlock w.qm;
+            Mutex.unlock t.sm;
             domains.(i) <- Some (Domain.spawn (fun () -> worker_loop t w));
             Telemetry.incr c_respawns;
             Logging.warn cfg.logger
@@ -1465,13 +1452,10 @@ let run ?(stop = Atomic.make false) (cfg : config) =
     (fun fd _ -> try Unix.close fd with Unix.Unix_error _ -> ())
     mconns;
   let all_idle () =
-    Array.for_all
-      (fun w ->
-        Mutex.lock w.qm;
-        let e = w.queued = 0 in
-        Mutex.unlock w.qm;
-        e)
-      workers
+    Mutex.lock t.sm;
+    let e = Array.for_all (fun w -> Queue.is_empty w.q) workers in
+    Mutex.unlock t.sm;
+    e
     && Hashtbl.fold
          (fun _ c acc ->
            Mutex.lock c.cm;
@@ -1488,20 +1472,13 @@ let run ?(stop = Atomic.make false) (cfg : config) =
      cancel token so the worker raises out of the search, answers
      timed_out, and its domain becomes joinable.  (Every exact-CC job
      carries a token precisely for this.) *)
+  Mutex.lock t.sm;
   Array.iter
     (fun w ->
-      Mutex.lock w.qm;
-      (match w.cur_cancel with
-      | Some tok -> Pool.Token.cancel tok
-      | None -> ());
-      Mutex.unlock w.qm)
+      Option.iter Pool.Token.cancel w.cur_cancel;
+      Condition.broadcast w.qc)
     workers;
-  Array.iter
-    (fun w ->
-      Mutex.lock w.qm;
-      Condition.broadcast w.qc;
-      Mutex.unlock w.qm)
-    workers;
+  Mutex.unlock t.sm;
   Array.iter (function Some d -> Domain.join d | None -> ()) domains;
   write_snapshot t;
   Hashtbl.iter

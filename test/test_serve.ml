@@ -500,9 +500,9 @@ let test_serve_request_deadline_times_out_with_bounds () =
           close_client a;
           close_client b)
         (fun () ->
-          (* A's slow board takes the first table tag (worker 0); B's
-             small board takes the second (worker 1) — so B runs
-             concurrently on another worker while A's search burns. *)
+          (* B's small board runs while A's search burns: either it
+             routes to the other worker, or, queued behind the search,
+             the idle worker steals it. *)
           let t0 = Clock.now_s () in
           send a (exact_cc_req ~id:(Json.Int 1) ~deadline_ms:300 slow_board_json);
           let small = rpc b (exact_cc_req ~id:(Json.Int 7) board_json) in
@@ -532,6 +532,86 @@ let test_serve_request_deadline_times_out_with_bounds () =
           let stats = rpc a stats_req in
           Alcotest.(check bool) "timeout counted" true
             (counter_field stats "serve.deadline_timeouts" >= 1)))
+
+(* Poll [stats] until worker [wid] has a job in flight. *)
+let wait_in_flight c wid =
+  let deadline = Clock.now_s () +. 5.0 in
+  let rec go () =
+    let busy =
+      match obj_field (rpc c stats_req) "queues" with
+      | Json.List qs ->
+          List.exists
+            (fun q -> int_field q "worker" = wid && int_field q "inflight" = 1)
+            qs
+      | _ -> Alcotest.fail "stats queues is not a list"
+    in
+    if not busy then
+      if Clock.now_s () > deadline then
+        Alcotest.failf "worker %d never picked up its job" wid
+      else begin
+        Clock.sleepf 0.005;
+        go ()
+      end
+  in
+  go ()
+
+let test_serve_idle_worker_steals_behind_busy_peer () =
+  with_server ~workers:2 (fun path ->
+      let a = connect path in
+      let b = connect path in
+      Fun.protect
+        ~finally:(fun () ->
+          close_client a;
+          close_client b)
+        (fun () ->
+          (* Tags go out in first-seen order and exact CC routes by tag
+             mod 2: the slow board takes tag 0 (worker 0), the 2x2
+             filler tag 1 (worker 1), and the reference board tag 2 —
+             worker 0 again, queued behind the running search unless
+             the idle worker 1 steals it. *)
+          let t0 = Clock.now_s () in
+          send a (exact_cc_req ~id:(Json.Int 1) ~deadline_ms:300 slow_board_json);
+          wait_in_flight b 0;
+          let steals0 = counter_field (rpc b stats_req) "serve.steals" in
+          let filler = Json.List [ Json.String "10"; Json.String "01" ] in
+          assert_ok (rpc b (exact_cc_req ~id:(Json.Int 2) filler));
+          let small = rpc b (exact_cc_req ~id:(Json.Int 3) board_json) in
+          let t_small = Clock.now_s () -. t0 in
+          assert_ok small;
+          Alcotest.(check int) "stolen job answers alike" 4
+            (int_field small "value");
+          Alcotest.(check bool)
+            (Printf.sprintf "small request not stuck behind the search \
+                             (%.3fs)" t_small)
+            true (t_small < 0.25);
+          Alcotest.(check bool) "steal counted" true
+            (counter_field (rpc b stats_req) "serve.steals" - steals0 >= 1);
+          check_code "search interrupted" "timed_out" (recv a)))
+
+let test_serve_idle_daemon_keeps_affinity () =
+  with_server ~workers:2 (fun path ->
+      let c = connect path in
+      Fun.protect ~finally:(fun () -> close_client c) @@ fun () ->
+      let steals0 = counter_field (rpc c stats_req) "serve.steals" in
+      (* Sequential requests find their owner idle, so none may be
+         stolen onto the other worker's cold segment. *)
+      for i = 0 to 19 do
+        let r =
+          rpc c (exact_cc_req ~id:(Json.Int i) ~use_cache:false board_json)
+        in
+        assert_ok r;
+        if i > 0 then begin
+          Alcotest.(check int)
+            (Printf.sprintf "repeat %d: zero expansions" i)
+            0 (int_field r "nodes");
+          Alcotest.(check bool)
+            (Printf.sprintf "repeat %d: table hits" i)
+            true
+            (int_field r "table_hits" > 0)
+        end
+      done;
+      Alcotest.(check int) "nothing stolen" steals0
+        (counter_field (rpc c stats_req) "serve.steals"))
 
 let test_serve_server_side_default_deadline () =
   (* No deadline_ms on the wire: the --request-timeout default applies. *)
@@ -1294,7 +1374,11 @@ let () =
           Alcotest.test_case "oversized line recovery" `Quick
             test_serve_oversized_line_recovery;
           Alcotest.test_case "periodic snapshots" `Quick
-            test_serve_periodic_snapshots ] );
+            test_serve_periodic_snapshots;
+          Alcotest.test_case "idle worker steals a job queued behind a busy peer"
+            `Quick test_serve_idle_worker_steals_behind_busy_peer;
+          Alcotest.test_case "idle daemon keeps affinity" `Quick
+            test_serve_idle_daemon_keeps_affinity ] );
       ( "observability",
         [ Alcotest.test_case "metrics endpoint cold->warm" `Quick
             test_serve_metrics_endpoint_cold_warm;
