@@ -61,13 +61,6 @@ let usage_exit () =
 
 let write_artifact dir ~jobs ~wall_s ~attempts ~metrics ~id outcome =
   let status = Supervisor.outcome_label outcome in
-  let error =
-    match outcome with
-    | Supervisor.Ok _ -> Json.Null
-    | Supervisor.Failed { exn; _ } -> Json.String exn
-    | Supervisor.Timed_out budget ->
-        Json.String (Printf.sprintf "deadline exceeded (%.3f s budget)" budget)
-  in
   let report_fields =
     match outcome with
     | Supervisor.Ok (r : Experiments.report) ->
@@ -79,8 +72,8 @@ let write_artifact dir ~jobs ~wall_s ~attempts ~metrics ~id outcome =
         [ ("title", Json.Null); ("params", Json.Obj []); ("rows", Json.List []);
           ("fits", Json.Obj []) ]
   in
-  Artifact.write ~dir ~id ~jobs ~wall_s ~attempts ~status ~error ?metrics
-    ~report_fields ();
+  Artifact.write ~dir ~id ~jobs ~wall_s ~attempts ~status
+    ~error:(Supervisor.outcome_error outcome) ?metrics ~report_fields ();
   let path = Artifact.path ~dir ~id in
   match outcome with
   | Supervisor.Ok r ->
@@ -126,26 +119,12 @@ let () =
     exit 1
   end;
   let run_all = List.mem "all" ids in
-  (* --resume DIR implies writing artifacts into DIR unless --json
-     points elsewhere. *)
-  let json_dir =
-    match (opts.Cli.json_dir, opts.Cli.resume_dir) with
-    | (Some _ as d), _ | None, d -> d
-  in
+  let json_dir = Cli.artifact_dir opts in
   let faults =
     Option.map (fun seed -> Faults.create ~seed ()) opts.Cli.fault_seed
   in
   (* Telemetry level before any domain spawns (spawn publishes it). *)
   Telemetry.set_level (Cli.telemetry_level opts);
-  let trace_writer =
-    Option.map (fun path -> Telemetry.Trace.open_file ~path)
-      opts.Cli.trace_file
-  in
-  let flush_trace () =
-    match trace_writer with
-    | Some w -> Telemetry.Trace.flush w (Telemetry.drain_events ())
-    | None -> ignore (Telemetry.drain_events ())
-  in
   Printf.printf
     "Chu-Schnitger (SPAA 1989 / J. Complexity 1991) reproduction — \
      experiment harness (jobs: %d%s%s%s)\n"
@@ -163,121 +142,92 @@ let () =
   let config =
     Supervisor.config ?timeout_s:opts.Cli.timeout_s ~retries:opts.Cli.retries ()
   in
-  Fun.protect
-    ~finally:(fun () ->
-      (* Commit the trace whatever happened: a partial trace of a
-         failed run is exactly what one wants to look at.  Close after
-         a final drain so the last experiment's spans are included. *)
-      match trace_writer with
-      | Some w ->
-          (try Telemetry.Trace.flush w (Telemetry.drain_events ())
-           with e ->
-             Telemetry.Trace.abort w;
-             raise e);
-          Telemetry.Trace.close w
-      | None -> ())
-    (fun () ->
-      Pool.with_pool ~jobs:opts.Cli.jobs (fun pool ->
-          Pool.set_faults pool faults;
-          let ctx =
-            { Experiments.pool;
-              jobs = opts.Cli.jobs;
-              tick = (fun () -> Pool.check_cancel pool) }
-          in
-          List.iter
-            (fun (id, f) ->
-              if (run_all || List.mem id ids) && not !aborted then
-                match opts.Cli.resume_dir with
-                | Some dir when Artifact.resume_done ~dir ~id ->
-                    incr skipped;
-                    Printf.printf
-                      "[resume] %s: ok artifact present, skipping\n" id
-                | _ ->
-                    let counters_before = Telemetry.counters () in
-                    ignore (Telemetry.drain_phases ());
-                    let t0 = Clock.now_s () in
-                    let outcome, attempts =
-                      Telemetry.with_span "experiment"
-                        ~args:[ ("id", id) ]
-                        (fun () ->
-                          Supervisor.run ~config ~pool ~name:id
-                            (fun ~attempt ->
-                              Faults.point faults
-                                ~site:
-                                  (Printf.sprintf "%s:attempt%d" id attempt);
-                              f ctx))
-                    in
-                    let wall_s = Clock.now_s () -. t0 in
-                    let metrics =
-                      if Telemetry.metrics_on () then
-                        Some
-                          (Artifact.metrics
-                             ~counters:
-                               (Telemetry.diff_counters ~before:counters_before
-                                  (Telemetry.counters ()))
-                             ~phases:(Telemetry.drain_phases ()))
-                      else None
-                    in
-                    flush_trace ();
-                    (match outcome with
-                    | Supervisor.Ok _ ->
-                        incr ok;
-                        Printf.printf "[%s] wall-clock: %.3f s\n" id wall_s
-                    | Supervisor.Failed { exn; backtrace } ->
-                        incr failed;
-                        Printf.printf
-                          "[%s] FAILED after %d attempt(s): %s\n%s" id attempts
-                          exn
-                          (if backtrace = "" then "" else backtrace ^ "\n");
-                        if not opts.Cli.keep_going then aborted := true
-                    | Supervisor.Timed_out budget ->
-                        incr timed_out;
-                        Printf.printf
-                          "[%s] TIMED OUT after %d attempt(s) (%.3f s budget, \
-                           %.3f s elapsed)\n"
-                          id attempts budget wall_s;
-                        if not opts.Cli.keep_going then aborted := true);
-                    (match json_dir with
-                    | Some dir ->
-                        write_artifact dir ~jobs:opts.Cli.jobs ~wall_s ~attempts
-                          ~metrics ~id outcome
-                    | None -> ()))
-            Experiments.all);
-      if List.mem "micro" ids && not !aborted then begin
-        let counters_before = Telemetry.counters () in
-        ignore (Telemetry.drain_phases ());
-        let t0 = Clock.now_s () in
-        let rows = Micro.run () in
-        let wall_s = Clock.now_s () -. t0 in
-        let metrics =
-          if Telemetry.metrics_on () then
-            Some
-              (Artifact.metrics
-                 ~counters:
-                   (Telemetry.diff_counters ~before:counters_before
-                      (Telemetry.counters ()))
-                 ~phases:(Telemetry.drain_phases ()))
-          else None
+  Telemetry.Trace.with_file opts.Cli.trace_file (fun ~flush:flush_trace ->
+    Pool.with_pool ~jobs:opts.Cli.jobs (fun pool ->
+        Pool.set_faults pool faults;
+        let ctx =
+          { Experiments.pool;
+            jobs = opts.Cli.jobs;
+            tick = (fun () -> Pool.check_cancel pool) }
         in
-        flush_trace ();
-        Printf.printf "[micro] wall-clock: %.3f s\n" wall_s;
-        match json_dir with
-        | Some dir ->
-            Artifact.write ~dir ~id:"micro" ~jobs:opts.Cli.jobs ~wall_s
-              ~attempts:1 ~status:"ok" ~error:Json.Null ?metrics
-              ~report_fields:
-                [ ("title",
-                   Json.String
-                     "Micro-benchmarks (Bechamel OLS + exact-CC ablations)");
-                  ("params", Json.Obj []);
-                  ("rows", Json.List rows);
-                  ("fits", Json.Obj []) ]
-              ();
-            Printf.printf "[json] wrote %s (%d rows)\n"
-              (Artifact.path ~dir ~id:"micro")
-              (List.length rows)
-        | None -> ()
-      end);
+        List.iter
+          (fun (id, f) ->
+            if (run_all || List.mem id ids) && not !aborted then
+              match opts.Cli.resume_dir with
+              | Some dir when Artifact.resume_done ~dir ~id ->
+                  incr skipped;
+                  Printf.printf
+                    "[resume] %s: ok artifact present, skipping\n" id
+              | _ ->
+                  let counters_before = Telemetry.counters () in
+                  ignore (Telemetry.drain_phases ());
+                  let t0 = Clock.now_s () in
+                  let outcome, attempts =
+                    Telemetry.with_span "experiment"
+                      ~args:[ ("id", id) ]
+                      (fun () ->
+                        Supervisor.run ~config ~pool ~name:id
+                          (fun ~attempt ->
+                            Faults.point faults
+                              ~site:
+                                (Printf.sprintf "%s:attempt%d" id attempt);
+                            f ctx))
+                  in
+                  let wall_s = Clock.now_s () -. t0 in
+                  let metrics =
+                    Artifact.metrics_since ~before:counters_before
+                  in
+                  flush_trace ();
+                  (match outcome with
+                  | Supervisor.Ok _ ->
+                      incr ok;
+                      Printf.printf "[%s] wall-clock: %.3f s\n" id wall_s
+                  | Supervisor.Failed { exn; backtrace } ->
+                      incr failed;
+                      Printf.printf
+                        "[%s] FAILED after %d attempt(s): %s\n%s" id attempts
+                        exn
+                        (if backtrace = "" then "" else backtrace ^ "\n");
+                      if not opts.Cli.keep_going then aborted := true
+                  | Supervisor.Timed_out budget ->
+                      incr timed_out;
+                      Printf.printf
+                        "[%s] TIMED OUT after %d attempt(s) (%.3f s budget, \
+                         %.3f s elapsed)\n"
+                        id attempts budget wall_s;
+                      if not opts.Cli.keep_going then aborted := true);
+                  (match json_dir with
+                  | Some dir ->
+                      write_artifact dir ~jobs:opts.Cli.jobs ~wall_s ~attempts
+                        ~metrics ~id outcome
+                  | None -> ()))
+          Experiments.all);
+    if List.mem "micro" ids && not !aborted then begin
+      let counters_before = Telemetry.counters () in
+      ignore (Telemetry.drain_phases ());
+      let t0 = Clock.now_s () in
+      let rows = Micro.run () in
+      let wall_s = Clock.now_s () -. t0 in
+      let metrics = Artifact.metrics_since ~before:counters_before in
+      flush_trace ();
+      Printf.printf "[micro] wall-clock: %.3f s\n" wall_s;
+      match json_dir with
+      | Some dir ->
+          Artifact.write ~dir ~id:"micro" ~jobs:opts.Cli.jobs ~wall_s
+            ~attempts:1 ~status:"ok" ~error:Json.Null ?metrics
+            ~report_fields:
+              [ ("title",
+                 Json.String
+                   "Micro-benchmarks (Bechamel OLS + exact-CC ablations)");
+                ("params", Json.Obj []);
+                ("rows", Json.List rows);
+                ("fits", Json.Obj []) ]
+            ();
+          Printf.printf "[json] wrote %s (%d rows)\n"
+            (Artifact.path ~dir ~id:"micro")
+            (List.length rows)
+      | None -> ()
+    end);
   if opts.Cli.metrics then Telemetry.print_summary stdout;
   if !failed + !timed_out + !skipped > 0 || opts.Cli.timeout_s <> None then
     Printf.printf

@@ -237,10 +237,7 @@ let lemmas n k seed trials opts =
          — supervision, resume, artifact schema, telemetry level — goes
          through the same shared modules. *)
       let opts = Cli.with_env_fault_seed opts in
-      let json_dir =
-        match (opts.Cli.json_dir, opts.Cli.resume_dir) with
-        | (Some _ as d), _ | None, d -> d
-      in
+      let json_dir = Cli.artifact_dir opts in
       if
         match opts.Cli.resume_dir with
         | Some dir -> Artifact.resume_done ~dir ~id:lemmas_id
@@ -258,10 +255,6 @@ let lemmas n k seed trials opts =
             ~retries:opts.Cli.retries ()
         in
         Telemetry.set_level (Cli.telemetry_level opts);
-        let trace_writer =
-          Option.map (fun path -> Telemetry.Trace.open_file ~path)
-            opts.Cli.trace_file
-        in
         let run_trials pool ~attempt =
           Faults.point faults
             ~site:(Printf.sprintf "lemmas:attempt%d" attempt);
@@ -289,35 +282,16 @@ let lemmas n k seed trials opts =
         let counters_before = Telemetry.counters () in
         let t0 = Clock.now_s () in
         let outcome, attempts =
-          Fun.protect
-            ~finally:(fun () ->
-              match trace_writer with
-              | Some w ->
-                  (try Telemetry.Trace.flush w (Telemetry.drain_events ())
-                   with e ->
-                     Telemetry.Trace.abort w;
-                     raise e);
-                  Telemetry.Trace.close w
-              | None -> ())
-            (fun () ->
-              Commx_util.Pool.with_pool ~jobs:opts.Cli.jobs (fun pool ->
-                  Commx_util.Pool.set_faults pool faults;
-                  Telemetry.with_span "experiment" ~args:[ ("id", lemmas_id) ]
-                    (fun () ->
-                      Supervisor.run ~config ~pool ~name:lemmas_id
-                        (run_trials pool))))
+          Telemetry.Trace.with_file opts.Cli.trace_file (fun ~flush:_ ->
+            Commx_util.Pool.with_pool ~jobs:opts.Cli.jobs (fun pool ->
+                Commx_util.Pool.set_faults pool faults;
+                Telemetry.with_span "experiment" ~args:[ ("id", lemmas_id) ]
+                  (fun () ->
+                    Supervisor.run ~config ~pool ~name:lemmas_id
+                      (run_trials pool))))
         in
         let wall_s = Clock.now_s () -. t0 in
-        let metrics =
-          if Telemetry.metrics_on () then
-            Some
-              (Artifact.metrics
-                 ~counters:
-                   (Telemetry.diff_counters ~before:counters_before
-                      (Telemetry.counters ()))
-                 ~phases:(Telemetry.drain_phases ()))
-          else None
-        in
+        let metrics = Artifact.metrics_since ~before:counters_before in
         let summarize (results : (bool * bool * bool) array) =
           let count f =
             Array.fold_left (fun a r -> if f r then a + 1 else a) 0 results
@@ -330,14 +304,6 @@ let lemmas n k seed trials opts =
         (match json_dir with
         | Some dir ->
             let status = Supervisor.outcome_label outcome in
-            let error =
-              match outcome with
-              | Supervisor.Ok _ -> Json.Null
-              | Supervisor.Failed { exn; _ } -> Json.String exn
-              | Supervisor.Timed_out budget ->
-                  Json.String
-                    (Printf.sprintf "deadline exceeded (%.3f s budget)" budget)
-            in
             let report_fields =
               match outcome with
               | Supervisor.Ok results ->
@@ -361,7 +327,8 @@ let lemmas n k seed trials opts =
                     ("rows", Json.List []); ("fits", Json.Obj []) ]
             in
             Artifact.write ~dir ~id:lemmas_id ~jobs:opts.Cli.jobs ~wall_s
-              ~attempts ~status ~error ?metrics ~report_fields ();
+              ~attempts ~status ~error:(Supervisor.outcome_error outcome)
+              ?metrics ~report_fields ();
             Printf.printf "[json] wrote %s (status: %s)\n"
               (Artifact.path ~dir ~id:lemmas_id)
               status
@@ -1261,10 +1228,7 @@ let check_fuzz seed count budget filter list_only opts =
   else begin
     let opts = Cli.with_env_fault_seed opts in
     Telemetry.set_level (Cli.telemetry_level opts);
-    let json_dir =
-      match (opts.Cli.json_dir, opts.Cli.resume_dir) with
-      | (Some _ as d), _ | None, d -> d
-    in
+    let json_dir = Cli.artifact_dir opts in
     if
       match opts.Cli.resume_dir with
       | Some dir -> Artifact.resume_done ~dir ~id:check_id
@@ -1281,27 +1245,12 @@ let check_fuzz seed count budget filter list_only opts =
         match budget with Some _ as b -> b | None -> opts.Cli.timeout_s
       in
       let counters_before = Telemetry.counters () in
-      let trace_writer =
-        Option.map
-          (fun path -> Telemetry.Trace.open_file ~path)
-          opts.Cli.trace_file
-      in
       let t0 = Clock.now_s () in
       let reports =
-        Fun.protect
-          ~finally:(fun () ->
-            match trace_writer with
-            | Some w ->
-                (try Telemetry.Trace.flush w (Telemetry.drain_events ())
-                 with e ->
-                   Telemetry.Trace.abort w;
-                   raise e);
-                Telemetry.Trace.close w
-            | None -> ())
-          (fun () ->
-            Telemetry.with_span "experiment" ~args:[ ("id", check_id) ]
-              (fun () ->
-                Runner.run ?budget_s ?filter ~seed ~count (Suite.all ())))
+        Telemetry.Trace.with_file opts.Cli.trace_file (fun ~flush:_ ->
+          Telemetry.with_span "experiment" ~args:[ ("id", check_id) ]
+            (fun () ->
+              Runner.run ?budget_s ?filter ~seed ~count (Suite.all ())))
       in
       let wall_s = Clock.now_s () -. t0 in
       List.iter (print_report ~seed ~count) reports;
@@ -1323,16 +1272,7 @@ let check_fuzz seed count budget filter list_only opts =
                 (Printf.sprintf "%d of %d properties diverged"
                    (List.length failed) (List.length reports))
           in
-          let metrics =
-            if Telemetry.metrics_on () then
-              Some
-                (Artifact.metrics
-                   ~counters:
-                     (Telemetry.diff_counters ~before:counters_before
-                        (Telemetry.counters ()))
-                   ~phases:(Telemetry.drain_phases ()))
-            else None
-          in
+          let metrics = Artifact.metrics_since ~before:counters_before in
           let row (r : Runner.report) =
             let base =
               [

@@ -4,6 +4,7 @@ module Bitmat = Commx_util.Bitmat
 module Txtable = Commx_util.Txtable
 module Json = Commx_util.Json
 module Stats = Commx_util.Stats
+module Telemetry = Commx_util.Telemetry
 module Combi = Commx_util.Combi
 module B = Commx_bigint.Bigint
 module Mod = Commx_bigint.Modarith
@@ -692,6 +693,41 @@ let stats_percentiles =
           ]
       end)
 
+(* The daemon's latency histogram against the exact order statistic:
+   the quantile estimate is the upper bound of the bucket holding the
+   nearest-rank value [x], clamped into [min, max], so it must lie in
+   [x, min(max, 1.125 x)].  Samples span 1 us to 10 s, a decade drawn
+   per value, so every bucket scale is exercised. *)
+let telemetry_quantile_error =
+  let value =
+    Gen.bind (Gen.int_range 0 7) (fun e ->
+        Gen.int_range 1 (int_of_float (10.0 ** float_of_int e)))
+  in
+  Property.make ~name:"telemetry.quantile_error"
+    ~gen:(Gen.array (Gen.int_range 1 2000) value)
+    ~shrink:(Shrink.array ~elt:Shrink.int ()) ~show:show_int_array
+    (fun xs ->
+      let n = Array.length xs in
+      (* shrinking may empty the sample or push a value below 1 *)
+      if n = 0 || Array.exists (fun v -> v < 1) xs then None
+      else begin
+        let s = Telemetry.summarize (Array.to_list xs) in
+        let sorted = Array.copy xs in
+        Array.sort compare sorted;
+        List.find_map
+          (fun p ->
+            let target = Float.ceil (p /. 100.0 *. float_of_int n) in
+            let r = max 1 (min n (int_of_float target)) in
+            let x = float_of_int sorted.(r - 1) in
+            let hi = Float.min (float_of_int s.Telemetry.max) (1.125 *. x) in
+            let q = Telemetry.summary_quantile s p in
+            if x <= q && q <= hi then None
+            else
+              Some
+                (Printf.sprintf "p%g: estimate %g outside [%g, %g]" p q x hi))
+          [ 0.0; 50.0; 95.0; 99.0; 100.0 ]
+      end)
+
 let combi_power_vs_bigint =
   let base =
     Gen.oneof
@@ -743,5 +779,6 @@ let all () =
     lemma32_vs_determinant;
     json_roundtrip;
     stats_percentiles;
+    telemetry_quantile_error;
     combi_power_vs_bigint;
   ]

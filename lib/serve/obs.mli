@@ -19,9 +19,9 @@
     {!render_metrics} turns counter/gauge/histogram snapshots into the
     Prometheus text format (version 0.0.4): [# HELP] / [# TYPE] per
     family, counters suffixed [_total], histograms as {e cumulative}
-    [_bucket{le="..."}] series (the power-of-two bucket bounds of
-    {!Commx_util.Telemetry.histogram_summary}, plus [le="+Inf"]) with
-    [_sum] and [_count].
+    [_bucket{le="..."}] series (the log-linear bucket bounds of
+    {!Commx_util.Telemetry.histogram_summary} — exact up to 8, then 8
+    per power of two — plus [le="+Inf"]) with [_sum] and [_count].
 
     {2 Flight recorder}
 
@@ -70,10 +70,18 @@ val observe_op : op:string -> outcome:string -> int -> unit
     [serve.op_us{op, outcome}] histogram family.  No-op below
     [Metrics] level. *)
 
+val merge_summaries :
+  Telemetry.histogram_summary ->
+  Telemetry.histogram_summary ->
+  Telemetry.histogram_summary
+(** Merge two summaries of one bucket layout: counts, sums and
+    per-bucket counts add, min/max combine.  An empty side returns the
+    other unchanged. *)
+
 val op_summaries : unit -> (string * Telemetry.histogram_summary) list
 (** Current per-op latency summaries merged across outcomes, sorted by
-    op — the [ops] object of the [stats] reply and the [ccmx top]
-    per-op table. *)
+    op — the [ops] object of the [stats] reply (all merged into its
+    [latency_us]) and the [ccmx top] per-op table. *)
 
 (** {2 HTTP} *)
 

@@ -27,7 +27,6 @@
                  liveness and published table stats; each worker
                  waits on its own [qc] under it
      worker.tm   that worker's table: compute vs. periodic snapshot
-     latm        latency ring
      (Cache, Tags and Telemetry carry their own internal mutexes.)
 
    Replies are written by whichever worker finishes the job, but
@@ -41,7 +40,6 @@ module Json = Commx_util.Json
 module Tx = Commx_util.Txtable
 module Clock = Commx_util.Clock
 module Telemetry = Commx_util.Telemetry
-module Stats = Commx_util.Stats
 module Sigguard = Commx_util.Sigguard
 module Logging = Commx_util.Logging
 module Pool = Commx_util.Pool
@@ -172,8 +170,7 @@ type job = {
   env : Wire.envelope;
   jconn : conn;
   seq : int;
-  t0 : float;
-  t0_ns : int;  (* same instant as [t0], for flight-recorder spans *)
+  t0_ns : int;  (* arrival: latency, deadlines, steal order, spans *)
   deadline : float option;  (* absolute monotonic compute deadline *)
   tag : int option;  (* exact-CC table tag *)
   cache_key : string option;
@@ -196,8 +193,6 @@ type worker = {
   mutable pub_entries : int;
 }
 
-let latency_ring = 4096
-
 type t = {
   cfg : config;
   stop : bool Atomic.t;
@@ -205,13 +200,9 @@ type t = {
   tags : Cache.Tags.t;
   workers : worker array;
   sm : Mutex.t;  (* scheduler: all worker queues and state *)
-  latm : Mutex.t;
-  lat : float array;  (* seconds, ring buffer *)
-  mutable lat_n : int;  (* total observations ever *)
   requests : int Atomic.t;
   errors : int Atomic.t;
   started : float;
-  hist : Telemetry.histogram;
   recorder : Obs.Recorder.t;
   mutable last_snapshot : float;  (* monotonic, acceptor-only *)
 }
@@ -291,15 +282,8 @@ let alloc_seq ?(inflight = false) conn =
   Mutex.unlock conn.cm;
   s
 
-let record_latency t dt =
-  Mutex.lock t.latm;
-  t.lat.(t.lat_n mod latency_ring) <- dt;
-  t.lat_n <- t.lat_n + 1;
-  Mutex.unlock t.latm;
-  Telemetry.observe t.hist (int_of_float (dt *. 1e6))
-
-let wall_us_field t0 =
-  Ops.wall_us_field (int_of_float ((Clock.now_s () -. t0) *. 1e6))
+let elapsed_us t0_ns = (Clock.now_ns () - t0_ns) / 1000
+let wall_us_field t0_ns = Ops.wall_us_field (elapsed_us t0_ns)
 
 (* Chaos site on result-cache insertion: the result is already
    computed, so an injected fault here is contained — the entry is
@@ -378,7 +362,7 @@ let process t w job =
           | _ -> []
         in
         Wire.ok ~id:env.id ~op:env.op
-          (core @ extra @ [ Ops.cache_field "hit"; wall_us_field job.t0 ])
+          (core @ extra @ [ Ops.cache_field "hit"; wall_us_field job.t0_ns ])
     | Some _ | None ->
         if
           match job.deadline with
@@ -393,7 +377,7 @@ let process t w job =
           outcome := "shed";
           span := "shed";
           Wire.error ~code:"timed_out" ~id:env.id
-            ~fields:[ wall_us_field job.t0 ]
+            ~fields:[ wall_us_field job.t0_ns ]
             "deadline expired before compute started"
         end
         else begin
@@ -423,7 +407,7 @@ let process t w job =
                 let label = if job.use_cache then "miss" else "bypass" in
                 Wire.ok ~id:env.id ~op:env.op
                   (core @ extra
-                  @ [ Ops.cache_field label; wall_us_field job.t0 ])
+                  @ [ Ops.cache_field label; wall_us_field job.t0_ns ])
             | exception E.Timed_out { lower; upper; nodes } ->
                 Mutex.unlock w.tm;
                 Atomic.incr t.errors;
@@ -433,7 +417,7 @@ let process t w job =
                   ~fields:
                     [ ("lower_bound", Json.Int lower);
                       ("upper_bound", Json.Int upper);
-                      ("nodes", Json.Int nodes); wall_us_field job.t0 ]
+                      ("nodes", Json.Int nodes); wall_us_field job.t0_ns ]
                   (Printf.sprintf
                      "deadline exceeded: certified %d <= CC <= %d after %d \
                       nodes"
@@ -454,9 +438,8 @@ let process t w job =
   (* Latency and table stats are published BEFORE the reply leaves:
      a client that sees its reply and immediately asks for `stats`
      must find this request already counted. *)
-  record_latency t (Clock.now_s () -. job.t0);
   Obs.observe_op ~op:env.op ~outcome:!outcome
-    (int_of_float (Clock.ns_to_us (t_done - job.t0_ns)));
+    ((t_done - job.t0_ns) / 1000);
   let st = Tx.stats w.table and entries = Tx.length w.table in
   Mutex.lock t.sm;
   w.pub_stats <- st;
@@ -497,7 +480,7 @@ let process t w job =
         child "reply_write" t_done (t_written - t_done) [] ]
   end;
   slow_query_log t job ~outcome:!outcome
-    ~wall:(Clock.now_s () -. job.t0)
+    ~wall:(Clock.ns_to_s (t_written - job.t0_ns))
     reply
 
 (* Dump the flight recorder to the configured path on a crash or a
@@ -616,14 +599,6 @@ let worker_loop t w =
 (* Inline ops (acceptor side)                                          *)
 (* ------------------------------------------------------------------ *)
 
-let latency_snapshot t =
-  Mutex.lock t.latm;
-  let n = min t.lat_n latency_ring in
-  let xs = Array.sub t.lat 0 n in
-  let total = t.lat_n in
-  Mutex.unlock t.latm;
-  (xs, total)
-
 (* Every worker's scheduler state and published table stats, read in
    one critical section; index = worker id. *)
 type worker_view = {
@@ -652,9 +627,21 @@ let worker_views t =
 let sum_views vs f = Array.fold_left (fun acc v -> acc + f v) 0 vs
 
 let stats_fields t =
-  let xs, total = latency_snapshot t in
-  let pct p =
-    if Array.length xs = 0 then 0.0 else Stats.percentile xs p *. 1e6
+  (* Every latency figure comes from the serve.op_us histograms, the
+     same cumulative, process-wide data /metrics exposes: per op
+     (merged across outcomes) under [ops], and all ops merged under
+     [latency_us]. *)
+  let ops = Obs.op_summaries () in
+  let all =
+    List.fold_left (fun acc (_, s) -> Obs.merge_summaries acc s)
+      (Telemetry.summarize []) ops
+  in
+  let quantiles ~suffix (s : Telemetry.histogram_summary) =
+    ("count", Json.Int s.count)
+    :: List.map
+         (fun (name, p) ->
+           (name ^ suffix, Json.Float (Telemetry.summary_quantile s p)))
+         [ ("p50", 50.0); ("p95", 95.0); ("p99", 99.0) ]
   in
   let cs = Cache.stats t.cache in
   let vs = worker_views t in
@@ -665,12 +652,7 @@ let stats_fields t =
     ("errors", Json.Int (Atomic.get t.errors));
     ("workers", Json.Int (Array.length t.workers));
     ("workers_alive", sum (fun v -> Bool.to_int v.up));
-    ( "latency_us",
-      Json.Obj
-        [ ("count", Json.Int total);
-          ("p50", Json.Float (pct 50.0));
-          ("p95", Json.Float (pct 95.0));
-          ("p99", Json.Float (pct 99.0)) ] );
+    ("latency_us", Json.Obj (quantiles ~suffix:"" all));
     ( "result_cache",
       Json.Obj
         [ ("hits", Json.Int cs.Cache.hits);
@@ -688,21 +670,10 @@ let stats_fields t =
           ("evictions", sum (fun v -> v.tstats.Tx.evictions));
           ("stores", sum (fun v -> v.tstats.Tx.stores)) ] );
     ( "ops",
-      (* Per-op latency summaries (merged across outcomes), quantiles
-         from the cumulative telemetry buckets — the same numbers the
-         /metrics histograms expose, here for in-band consumers like
-         [ccmx top]. *)
       Json.Obj
         (List.map
-           (fun (op, s) ->
-             let q p = Telemetry.summary_quantile s p in
-             ( op,
-               Json.Obj
-                 [ ("count", Json.Int s.Telemetry.count);
-                   ("p50_us", Json.Float (q 50.0));
-                   ("p95_us", Json.Float (q 95.0));
-                   ("p99_us", Json.Float (q 99.0)) ] ))
-           (Obs.op_summaries ())) );
+           (fun (op, s) -> (op, Json.Obj (quantiles ~suffix:"_us" s)))
+           ops) );
     ( "queues",
       Json.List
         (Array.to_list
@@ -805,7 +776,7 @@ let healthz t =
 (* Request admission                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let dispatch t conn (env : Wire.envelope) t0 t0_ns =
+let dispatch t conn (env : Wire.envelope) t0_ns =
   let cache_key = Ops.content_key env.req in
   let use_cache =
     match env.req with Wire.Exact_cc { use_cache; _ } -> use_cache | _ -> true
@@ -813,6 +784,7 @@ let dispatch t conn (env : Wire.envelope) t0 t0_ns =
   (* Effective compute deadline: the tighter of the request's own
      budget and the server-side default, absolute from parse time. *)
   let deadline =
+    let t0 = Clock.ns_to_s t0_ns in
     let of_ms ms = t0 +. (float_of_int ms /. 1000.0) in
     match (env.deadline_ms, t.cfg.request_timeout_s) with
     | None, None -> None
@@ -839,8 +811,7 @@ let dispatch t conn (env : Wire.envelope) t0 t0_ns =
       in
       let seq = alloc_seq ~inflight:true conn in
       let job =
-        { env; jconn = conn; seq; t0; t0_ns; deadline; tag; cache_key;
-          use_cache }
+        { env; jconn = conn; seq; t0_ns; deadline; tag; cache_key; use_cache }
       in
       Mutex.lock t.sm;
       if Queue.length w.q >= t.cfg.max_queue then begin
@@ -865,13 +836,10 @@ let dispatch t conn (env : Wire.envelope) t0 t0_ns =
 let handle_line t conn line =
   if String.trim line <> "" then begin
     Atomic.incr t.requests;
-    let t0 = Clock.now_s () in
     let t0_ns = Clock.now_ns () in
     let inline ?(op = "invalid") ?(outcome = "ok") reply =
       let seq = alloc_seq conn in
-      record_latency t (Clock.now_s () -. t0);
-      Obs.observe_op ~op ~outcome
-        (int_of_float ((Clock.now_s () -. t0) *. 1e6));
+      Obs.observe_op ~op ~outcome (elapsed_us t0_ns);
       deliver t conn seq (Wire.to_line reply)
     in
     match Wire.parse line with
@@ -917,7 +885,7 @@ let handle_line t conn line =
                     "matrix too large for exact_cc: canonical %dx%d exceeds \
                      %dx%d"
                     cr cc E.max_side E.max_side))
-        | _ -> dispatch t conn env t0 t0_ns)
+        | _ -> dispatch t conn env t0_ns)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1085,13 +1053,9 @@ let run ?(stop = Atomic.make false) (cfg : config) =
   let t =
     { cfg; stop; cache; tags; workers;
       sm = Mutex.create ();
-      latm = Mutex.create ();
-      lat = Array.make latency_ring 0.0;
-      lat_n = 0;
       requests = Atomic.make 0;
       errors = Atomic.make 0;
       started = Clock.now_s ();
-      hist = Telemetry.histogram "serve.request_us";
       recorder = Obs.Recorder.create ~capacity:cfg.trace_ring;
       (* Boot counts as "fresh" so /healthz is green until the first
          periodic snapshot is actually due. *)

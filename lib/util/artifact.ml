@@ -20,6 +20,14 @@ let metrics ~counters ~phases =
       ("counters", Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) counters));
     ]
 
+let metrics_since ~before =
+  if Telemetry.metrics_on () then
+    Some
+      (metrics
+         ~counters:(Telemetry.diff_counters ~before (Telemetry.counters ()))
+         ~phases:(Telemetry.drain_phases ()))
+  else None
+
 let write ~dir ~id ~jobs ~wall_s ~attempts ~status ~error ?(metrics = Json.Null)
     ~report_fields () =
   Fsutil.mkdir_p dir;

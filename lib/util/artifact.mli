@@ -27,6 +27,11 @@ val metrics :
     [bits_total] is lifted out of the ["channel.bits_total"] counter
     (0 when the experiment executed no protocol). *)
 
+val metrics_since : before:(string * int) list -> Json.t option
+(** The [metrics] object of a run that began at the {!Telemetry.counters}
+    snapshot [before]: counter deltas since then plus the drained phase
+    durations.  [None] when telemetry is off. *)
+
 val write :
   dir:string ->
   id:string ->

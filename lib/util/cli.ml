@@ -72,6 +72,9 @@ let telemetry_level opts =
   else if opts.metrics || opts.json_dir <> None then Telemetry.Metrics
   else Telemetry.Off
 
+let artifact_dir opts =
+  match opts.json_dir with Some _ as d -> d | None -> opts.resume_dir
+
 (* One entry per value-taking flag: name, validating setter. *)
 let parse argv =
   let opts = ref defaults in

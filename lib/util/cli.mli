@@ -56,6 +56,11 @@ val telemetry_level : opts -> Telemetry.level
     otherwise [Off].  Both entry points use this so flags cannot mean
     different levels in different binaries. *)
 
+val artifact_dir : opts -> string option
+(** Where to write artifacts: [json_dir], else [resume_dir] —
+    [--resume DIR] implies writing into [DIR] unless [--json] points
+    elsewhere. *)
+
 val mkdir_p : string -> unit
 (** Create a directory and its missing parents.  Free of the
     check-then-create race: every level attempts [Unix.mkdir]

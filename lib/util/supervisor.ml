@@ -146,3 +146,9 @@ let outcome_label = function
   | Ok _ -> "ok"
   | Failed _ -> "failed"
   | Timed_out _ -> "timed_out"
+
+let outcome_error = function
+  | Ok _ -> Json.Null
+  | Failed { exn; _ } -> Json.String exn
+  | Timed_out budget ->
+      Json.String (Printf.sprintf "deadline exceeded (%.3f s budget)" budget)

@@ -116,3 +116,7 @@ val run :
 val outcome_label : 'a outcome -> string
 (** ["ok"], ["failed"] or ["timed_out"] — the [status] vocabulary of
     the JSON artifacts (EXPERIMENTS.md, schema version 2). *)
+
+val outcome_error : 'a outcome -> Json.t
+(** The artifacts' [error] field: [null] for [Ok], the exception text
+    for [Failed], the exceeded budget for [Timed_out]. *)

@@ -76,10 +76,13 @@ let names_of reg =
 (* Per-domain cells                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Power-of-two histogram buckets: slot [i] counts observations [v]
-   with [2^(i-1) < v <= 2^i] (slot 0: [v <= 1], negatives included).
-   62 slots cover every OCaml int. *)
-let hist_slots = 63
+(* Log-linear histogram buckets, 8 per power of two.  Values <= 8 are
+   exact: slot [v] (negatives in slot 0).  Above that, [x = v - 1] with
+   top bit [k] lands in slot [8(k-2) + sub + 1], [sub] being the three
+   bits below the top one; the slot's upper bound [(9 + sub) * 2^(k-3)]
+   exceeds any value it holds by less than 12.5%.  481 slots cover every
+   OCaml int. *)
+let hist_slots = 481
 
 type hist_cell = {
   mutable h_count : int;
@@ -94,15 +97,29 @@ let fresh_hist_cell () =
     slots = Array.make hist_slots 0 }
 
 let slot_of v =
-  if v <= 1 then 0
+  if v <= 8 then max v 0
   else begin
-    let i = ref 0 and x = ref (v - 1) in
-    while !x > 0 do
-      incr i;
-      x := !x lsr 1
+    let x = v - 1 in
+    let k = ref 3 in
+    while x lsr (!k + 1) > 0 do
+      incr k
     done;
-    !i
+    (8 * (!k - 2)) + ((x lsr (!k - 3)) land 7) + 1
   end
+
+(* Inclusive upper bound of slot [s]; the last slot's would overflow. *)
+let slot_bound s =
+  if s <= 8 then s
+  else if s = hist_slots - 1 then max_int
+  else (9 + ((s - 1) mod 8)) lsl (((s - 1) / 8) - 1)
+
+let record cell v =
+  cell.h_count <- cell.h_count + 1;
+  cell.h_sum <- cell.h_sum + v;
+  if v < cell.h_min then cell.h_min <- v;
+  if v > cell.h_max then cell.h_max <- v;
+  let s = slot_of v in
+  cell.slots.(s) <- cell.slots.(s) + 1
 
 type span_id = int
 
@@ -198,16 +215,7 @@ let set_gauge g v =
   end
 
 let observe h v =
-  if Atomic.get level_cell > 0 then begin
-    let ds = dls () in
-    let cell = hist_cell ds h in
-    cell.h_count <- cell.h_count + 1;
-    cell.h_sum <- cell.h_sum + v;
-    if v < cell.h_min then cell.h_min <- v;
-    if v > cell.h_max then cell.h_max <- v;
-    let s = slot_of v in
-    cell.slots.(s) <- cell.slots.(s) + 1
-  end
+  if Atomic.get level_cell > 0 then record (hist_cell (dls ()) h) v
 
 (* ------------------------------------------------------------------ *)
 (* Spans                                                               *)
@@ -300,6 +308,14 @@ type histogram_summary = {
   buckets : (int * int) list;
 }
 
+let summary_of_cell m =
+  let buckets = ref [] in
+  for s = hist_slots - 1 downto 0 do
+    if m.slots.(s) > 0 then buckets := (slot_bound s, m.slots.(s)) :: !buckets
+  done;
+  { count = m.h_count; sum = m.h_sum; min = m.h_min; max = m.h_max;
+    buckets = !buckets }
+
 let locked f =
   Mutex.lock reg_mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock reg_mutex) f
@@ -356,17 +372,13 @@ let histograms () =
       List.sort by_name
         (Array.to_list
            (Array.mapi
-              (fun id name ->
-                let m = merged.(id) in
-                let buckets = ref [] in
-                for s = hist_slots - 1 downto 0 do
-                  if m.slots.(s) > 0 then
-                    buckets := (1 lsl s, m.slots.(s)) :: !buckets
-                done;
-                ( name,
-                  { count = m.h_count; sum = m.h_sum; min = m.h_min;
-                    max = m.h_max; buckets = !buckets } ))
+              (fun id name -> (name, summary_of_cell merged.(id)))
               names)))
+
+let summarize vs =
+  let cell = fresh_hist_cell () in
+  List.iter (record cell) vs;
+  summary_of_cell cell
 
 (* Bucket-based percentile estimate.  The contract on an empty summary
    is pinned (0.0, no NaN, no exception) because /metrics-style
@@ -578,4 +590,22 @@ module Trace = struct
       w.live <- false;
       Json.Atomic.abort w.sink
     end
+
+  let with_file path f =
+    match path with
+    | None -> f ~flush:(fun () -> ignore (drain_events ()))
+    | Some path ->
+        let w = open_file ~path in
+        let flush () = flush w (drain_events ()) in
+        (* Commit the trace whatever happened: a partial trace of a
+           failed run is exactly what one wants to look at.  Close
+           after a final drain so the last spans are included. *)
+        Fun.protect
+          ~finally:(fun () ->
+            (try flush ()
+             with e ->
+               abort w;
+               raise e);
+            close w)
+          (fun () -> f ~flush)
 end

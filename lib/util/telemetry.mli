@@ -77,9 +77,11 @@ val histogram : string -> histogram
 
 val observe : histogram -> int -> unit
 (** Record one integer observation (bits in a message, items in a
-    batch).  Aggregated as count / sum / min / max plus power-of-two
-    buckets — all order-invariant, so merged histograms are identical
-    at any job count.  No-op below [Metrics]. *)
+    batch, a latency in microseconds).  Aggregated as count / sum /
+    min / max plus log-linear buckets — exact up to 8, then 8
+    sub-buckets per power of two — all order-invariant, so merged
+    histograms are identical at any job count.  No-op below
+    [Metrics]. *)
 
 (** {1 Spans} *)
 
@@ -124,19 +126,26 @@ type histogram_summary = {
   min : int;  (** meaningless when [count = 0] *)
   max : int;
   buckets : (int * int) list;
-      (** [(ceil_pow2, n)]: observations [v] with [v <= ceil_pow2],
-          greater than the previous bucket bound; sorted ascending *)
+      (** [(le, n)]: [n] observations [v] with [v <= le], greater
+          than the previous bucket bound; sorted ascending.  A bound
+          exceeds every value in its bucket by less than 12.5%. *)
 }
 
 val summary_quantile : histogram_summary -> float -> float
 (** [summary_quantile s p] estimates the [p]-th percentile
     ([p] in [[0, 100]], the {!Stats.percentile} convention) from the
-    power-of-two buckets: the upper bound of the bucket holding the
-    target rank, clamped into [[min, max]] so the estimate never
-    exceeds an actually-observed value.  An {b empty} summary returns
+    log-linear buckets: the upper bound of the bucket holding the
+    nearest-rank order statistic [x] ([ceil (p/100 * count)], at least
+    1), clamped into [[min, max]] so the estimate never exceeds an
+    actually-observed value.  For positive observations the estimate
+    lies in [[x, 1.125 x]].  An {b empty} summary returns
     [0.0] — never NaN, never an exception — matching the pinned
     [min]/[max] of [0] that {!metrics_to_json} reports for empty
     histograms. *)
+
+val summarize : int list -> histogram_summary
+(** The summary a histogram reports after observing exactly these
+    values, built without touching any registered instrument. *)
 
 val counters : unit -> (string * int) list
 (** Merged counter totals, sorted by name.  Zero-valued counters are
@@ -213,4 +222,12 @@ module Trace : sig
 
   val abort : writer -> unit
   (** Discard: close and delete the temp file.  Idempotent. *)
+
+  val with_file : string option -> (flush:(unit -> unit) -> 'a) -> 'a
+  (** [with_file path f] runs [f ~flush] with a writer on [path]:
+      [flush ()] writes the events drained so far.  When [f] returns
+      or raises, a final drain is flushed and the trace closed; if that
+      final flush fails the writer is {!abort}ed and the exception
+      re-raised.  With [None] nothing is written and [flush] just
+      discards the drained events. *)
 end

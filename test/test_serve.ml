@@ -378,6 +378,16 @@ let test_serve_warm_cache_end_to_end () =
       and p99 = float_field lat "p99" in
       Alcotest.(check bool) "p50 > 0" true (p50 > 0.0);
       Alcotest.(check bool) "percentiles ordered" true (p50 <= p95 && p95 <= p99);
+      (* One latency store: the overall count is the per-op counts
+         summed, both read from the serve.op_us histograms. *)
+      let op_counts =
+        match Json.member "ops" stats with
+        | Some (Json.Obj ops) ->
+            List.fold_left (fun acc (_, o) -> acc + int_field o "count") 0 ops
+        | _ -> Alcotest.fail "stats lacks ops"
+      in
+      Alcotest.(check int) "latency_us.count = sum of ops counts" op_counts
+        (int_field lat "count");
       (* Errors come back as replies, never dropped connections. *)
       let err = rpc c (Json.Obj [ ("op", Json.String "teleport"); ("id", Json.Int 9) ]) in
       (match Json.member "ok" err with

@@ -365,6 +365,44 @@ let test_trace_writer () =
       Alcotest.(check (list string)) "no temp file after abort" []
         (leftover_temps dir "aborted.trace"))
 
+(* [with_file] commits the trace even when its body raises, after a
+   final drain that picks up spans the body never flushed; without a
+   path it writes nothing and its flush just discards events. *)
+let test_trace_with_file () =
+  with_level Telemetry.Trace (fun () ->
+      let dir = fresh_dir "with-file" in
+      let path = Filename.concat dir "run.trace" in
+      (match
+         Telemetry.Trace.with_file (Some path) (fun ~flush ->
+             Telemetry.with_span "flushed" (fun () -> ());
+             flush ();
+             Telemetry.with_span "unflushed" (fun () -> ());
+             raise Exit)
+       with
+      | () -> Alcotest.fail "with_file swallowed the exception"
+      | exception Exit -> ());
+      let names =
+        match Json.member "traceEvents" (Json.of_file path) with
+        | Some (Json.List l) ->
+            List.filter_map
+              (fun ev ->
+                match Json.member "name" ev with
+                | Some (Json.String s) -> Some s
+                | _ -> None)
+              l
+        | _ -> Alcotest.fail "traceEvents array missing"
+      in
+      List.iter
+        (fun n ->
+          Alcotest.(check bool) (n ^ " present") true (List.mem n names))
+        [ "flushed"; "unflushed" ];
+      Alcotest.(check (list string)) "no temp file" []
+        (leftover_temps dir "run.trace");
+      Telemetry.with_span "dropped" (fun () -> ());
+      Telemetry.Trace.with_file None (fun ~flush -> flush ());
+      Alcotest.(check int) "flush without a file drains" 0
+        (List.length (Telemetry.drain_events ())))
+
 (* ------------------------------------------------------------------ *)
 (* Cli telemetry flags                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -458,14 +496,18 @@ let test_summary_quantile_small_exact () =
 
 let test_summary_quantile_clamped_and_ordered () =
   with_level Telemetry.Metrics (fun () ->
-      (* 5 falls in the le=8 bucket: the bucket bound overshoots the
-         data, so the estimate must clamp to the observed max. *)
+      (* 17 falls in the le=18 bucket (values up to 8 are exact, above
+         that a bucket spans an eighth of a power of two): the bucket
+         bound overshoots the data, so the estimate must clamp to the
+         observed max. *)
       let h = Telemetry.histogram "test.q_clamp" in
-      List.iter (Telemetry.observe h) [ 5; 5 ];
+      List.iter (Telemetry.observe h) [ 17; 17 ];
       let s = List.assoc "test.q_clamp" (Telemetry.histograms ()) in
-      Alcotest.(check (float 0.0)) "clamped to max" 5.0
+      Alcotest.(check (list (pair int int))) "one le=18 bucket" [ (18, 2) ]
+        s.Telemetry.buckets;
+      Alcotest.(check (float 0.0)) "clamped to max" 17.0
         (Telemetry.summary_quantile s 99.0);
-      Alcotest.(check (float 0.0)) "clamped from below too" 5.0
+      Alcotest.(check (float 0.0)) "clamped from below too" 17.0
         (Telemetry.summary_quantile s 1.0);
       (* skewed data: quantiles stay within [min, max] and ordered *)
       let h2 = Telemetry.histogram "test.q_skew" in
@@ -510,7 +552,8 @@ let () =
             test_metrics_json_roundtrip;
           Alcotest.test_case "schema-v3 artifact round-trip" `Quick
             test_artifact_v3_roundtrip;
-          Alcotest.test_case "chrome trace writer" `Quick test_trace_writer ] );
+          Alcotest.test_case "chrome trace writer" `Quick test_trace_writer;
+          Alcotest.test_case "trace with_file" `Quick test_trace_with_file ] );
       ( "cli",
         [ Alcotest.test_case "telemetry flags" `Quick test_cli_telemetry_flags
         ] )
