@@ -3,7 +3,9 @@
 
    B1  bigint multiplication: schoolbook vs Karatsuba across sizes
    B2  determinant: Bareiss vs CRT vs rational elimination
-   B3  rank: GF(2) bit-matrix vs rational elimination
+   B3  rank: GF(2) bit-matrix vs rational elimination vs
+       [Rank_bound.rational_rank] (native-int Bareiss up to side 22,
+       bignum Bareiss past it)
    B4  protocol channel overhead (send throughput)
    B5  base-(-q) digit extraction
    B6  subspace membership (the Lemma 3.2 inner loop)
@@ -83,10 +85,14 @@ let b3_rank () =
       Test.make
         ~name:(Printf.sprintf "rank-rational-%d" dim)
         (Staged.stage (fun () -> ignore (Qm.rank qm)));
+      Test.make
+        ~name:(Printf.sprintf "rank-bitmat-%d" dim)
+        (Staged.stage (fun () ->
+             ignore (Commx_comm.Rank_bound.rational_rank bm)));
     ]
   in
   Test.make_grouped ~name:"B3-rank" ~fmt:"%s %s"
-    (List.concat_map mk [ 32; 64; 128 ])
+    (List.concat_map mk [ 20; 32; 64; 128 ])
 
 let b4_channel () =
   let g = Prng.create 4 in
@@ -397,7 +403,7 @@ let run () =
       (b1_mul ())
   in
   let b2 = report_group ~group:"B2" "B2 determinant algorithms" (b2_det ()) in
-  let b3 = report_group ~group:"B3" "B3 rank over GF(2) vs Q" (b3_rank ()) in
+  let b3 = report_group ~group:"B3" "B3 rank over GF(2) vs Q vs native Bareiss" (b3_rank ()) in
   let b4 = report_group ~group:"B4" "B4 protocol channel overhead" (b4_channel ()) in
   let b5 = report_group ~group:"B5" "B5 base-(-q) digits" (b5_negbase ()) in
   let b6 =

@@ -25,6 +25,32 @@ val det_cofactor : Commx_linalg.Zmatrix.t -> Commx_bigint.Bigint.t
     tiny matrices the fuzzer draws.
     @raise Invalid_argument on non-square input. *)
 
+(** {2 List-based lower-bound members}
+
+    The fooling-set and exact-rectangle searches as they were before
+    {!Commx_comm.Fooling} and {!Commx_comm.Rectangle} became word-level
+    kernels: pair lists tested through per-cell accessors, and one list,
+    array and {!Commx_util.Bitvec.copy} per row subset.  The kernels
+    must return exactly what these do. *)
+
+val fooling_greedy : ('a, 'b) Commx_comm.Truth_matrix.t -> Commx_comm.Fooling.t
+
+val fooling_greedy_randomized :
+  Commx_util.Prng.t ->
+  ?restarts:int ->
+  ('a, 'b) Commx_comm.Truth_matrix.t ->
+  Commx_comm.Fooling.t
+(** Same PRNG draws as {!Commx_comm.Fooling.greedy_randomized}. *)
+
+val max_one_rectangle_exact :
+  ?min_rows:int -> Commx_util.Bitmat.t -> Commx_comm.Rectangle.rect
+(** Enumerates {!Commx_util.Combi.iter_subsets}, so it raises
+    [Invalid_argument] past 20 enumerated lines. *)
+
+val cover_lower_bound_exact : Commx_util.Bitmat.t -> float
+(** {!Commx_comm.Rectangle.cover_lower_bound} [~exact:true] from the
+    reference rectangles. *)
+
 (** Association model of {!Commx_util.Txtable}: last write wins, no
     capacity, no eviction.  An unbudgeted table must agree exactly; a
     budgeted table must be {e fail-soft} against it (absent or equal,

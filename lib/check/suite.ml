@@ -10,6 +10,10 @@ module B = Commx_bigint.Bigint
 module Mod = Commx_bigint.Modarith
 module Zm = Commx_linalg.Zmatrix
 module Exact_cc = Commx_comm.Exact_cc
+module Rank_bound = Commx_comm.Rank_bound
+module Fooling = Commx_comm.Fooling
+module Rectangle = Commx_comm.Rectangle
+module Truth_matrix = Commx_comm.Truth_matrix
 module Params = Commx_core.Params
 module H = Commx_core.Hard_instance
 module L32 = Commx_core.Lemma32
@@ -466,6 +470,159 @@ let exact_cc_pooled_vs_sequential =
       all_of [ ("pooled=sequential", fun () -> v_pool = v_seq) ])
 
 (* ------------------------------------------------------------------ *)
+(* Lower-bound kernels vs. ℚ elimination and the list-based members    *)
+(* ------------------------------------------------------------------ *)
+
+(* A random board with a density drawn from 0.1, 0.2, ..., 0.9. *)
+let gen_dense_bitmat ~rows ~cols g =
+  let r = rows g in
+  let c = cols g in
+  let tenths = Prng.int_incl g 1 9 in
+  Bitmat.init r c (fun _ _ -> Prng.int g 10 < tenths)
+
+(* Sylvester's 2^k x 2^k Hadamard matrix with +1 -> 1 and -1 -> 0:
+   entry (i, j) is 1 iff [i land j] has even popcount. *)
+let sylvester k =
+  Bitmat.init (1 lsl k) (1 lsl k) (fun i j ->
+      Bitvec.popcount_int (i land j) land 1 = 0)
+
+(* [rows] of the rows and [cols] of the columns of [h], in random order
+   and optionally complemented. *)
+let cut_board g h ~rows ~cols =
+  let rs = Prng.sample_without_replacement g rows (Bitmat.rows h) in
+  let cs = Prng.sample_without_replacement g cols (Bitmat.cols h) in
+  let flip = Prng.bool g in
+  Bitmat.init rows cols (fun i j -> Bitmat.get h rs.(i) cs.(j) <> flip)
+
+let rank_bound_rank_vs_rational =
+  let h16 = sylvester 4 and h32 = sylvester 5 in
+  (* Three families: random boards of sides 1-24, across the native
+     limit of 22; the 16x16 Sylvester board and its complement with up
+     to three rows deleted, whose minors reach the Hadamard bound of
+     their order; and square cuts of the 32x32 board of side 23-30.
+     Only the last can catch a native limit set too high: below side
+     25 the first product that can wrap in 63 bits comes at the last
+     elimination step that still has a row below, and a wrapped
+     product is exact modulo 2^63, so the rank still comes out
+     right. *)
+  let gen g =
+    match Prng.int g 4 with
+    | 0 -> cut_board g h16 ~rows:(16 - Prng.int g 4) ~cols:16
+    | 1 ->
+        let n = Prng.int_incl g 23 30 in
+        cut_board g h32 ~rows:n ~cols:n
+    | _ ->
+        let side = Gen.int_range 1 24 in
+        gen_dense_bitmat ~rows:side ~cols:side g
+  in
+  Property.make ~name:"rank_bound.rank_vs_rational" ~gen ~shrink:Shrink.bitmat
+    ~show:show_bitmat (fun m ->
+      let q =
+        Commx_linalg.Qmatrix.init (Bitmat.rows m) (Bitmat.cols m) (fun i j ->
+            if Bitmat.get m i j then Commx_bigint.Rational.one
+            else Commx_bigint.Rational.zero)
+      in
+      let got = Rank_bound.rational_rank m
+      and want = Commx_linalg.Qmatrix.rank q in
+      if got = want then None
+      else Some (Printf.sprintf "rational_rank %d, elimination over Q %d" got want))
+
+let show_pairs ps =
+  String.concat " " (List.map (fun (i, j) -> Printf.sprintf "(%d,%d)" i j) ps)
+
+(* Both fooling-set searches against the list-based reference: the
+   same pair list, and the same number of PRNG draws, seen as equal
+   generator states afterwards (SplitMix64 advances its state by one
+   fixed increment per draw). *)
+let fooling_kernel_vs_reference =
+  let gen g =
+    let side = Gen.int_range 0 12 in
+    let m = gen_dense_bitmat ~rows:side ~cols:side g in
+    (m, Prng.int g 25, Prng.int g 1_000_000)
+  in
+  Property.make ~name:"fooling.kernel_vs_reference" ~gen
+    ~show:(fun (m, restarts, seed) ->
+      Printf.sprintf "restarts %d seed %d\n%s" restarts seed (show_bitmat m))
+    (fun (m, restarts, seed) ->
+      let tm =
+        Truth_matrix.build
+          (List.init (Bitmat.rows m) Fun.id)
+          (List.init (Bitmat.cols m) Fun.id)
+          (Bitmat.get m)
+      in
+      let g1 = Prng.create seed and g2 = Prng.create seed in
+      let got = Fooling.greedy_randomized g1 ~restarts tm in
+      let want = Oracles.fooling_greedy_randomized g2 ~restarts tm in
+      let det = Fooling.greedy tm and det_want = Oracles.fooling_greedy tm in
+      if det <> det_want then
+        Some
+          (Printf.sprintf "greedy [%s], reference [%s]" (show_pairs det)
+             (show_pairs det_want))
+      else if got <> want then
+        Some
+          (Printf.sprintf "greedy_randomized [%s], reference [%s]"
+             (show_pairs got) (show_pairs want))
+      else if Prng.bits64 g1 <> Prng.bits64 g2 then
+        Some "greedy_randomized made a different number of PRNG draws"
+      else None)
+
+(* The exact rectangle searches and the exact cover bound against the
+   [Combi.iter_subsets] reference, on boards with one side of 1-12 and
+   the other of 1-70 (two words per line), either way round.  A
+   [min_rows] above 1 forbids the transpose, so the rows are
+   enumerated; a tall board then has at most 12 rows or more than 22,
+   where both sides raise (the reference cannot enumerate 21 or 22
+   lines).  Raising counts as an answer: both sides must raise the
+   same message. *)
+let rectangle_kernel_vs_reference =
+  let gen g =
+    let short = Gen.int_range 1 12 in
+    let min_rows = Prng.int_incl g 1 3 in
+    let m =
+      if Prng.bool g then
+        gen_dense_bitmat ~rows:short ~cols:(Gen.int_range 1 70) g
+      else
+        let long =
+          if min_rows = 1 then Gen.int_range 1 70
+          else if Prng.bool g then short
+          else Gen.int_range 23 70
+        in
+        gen_dense_bitmat ~rows:long ~cols:short g
+    in
+    (m, min_rows)
+  in
+  let outcome f =
+    match f () with
+    | r -> Ok (r.Rectangle.row_set, r.Rectangle.col_set)
+    | exception Invalid_argument msg -> Error msg
+  in
+  let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  Property.make ~name:"rectangle.kernel_vs_reference" ~gen
+    ~show:(fun (m, min_rows) ->
+      Printf.sprintf "min_rows %d\n%s" min_rows (show_bitmat m))
+    (fun (m, min_rows) ->
+      let zeros = Bitmat.complement m in
+      all_of
+        [ ( "max_one",
+            fun () ->
+              outcome (fun () -> Rectangle.max_one_rectangle_exact ~min_rows m)
+              = outcome (fun () -> Oracles.max_one_rectangle_exact ~min_rows m) );
+          ( "max_one_default",
+            fun () ->
+              outcome (fun () -> Rectangle.max_one_rectangle_exact m)
+              = outcome (fun () -> Oracles.max_one_rectangle_exact m) );
+          ( "max_zero",
+            fun () ->
+              outcome (fun () -> Rectangle.max_zero_rectangle_exact ~min_rows m)
+              = outcome (fun () ->
+                    Oracles.max_one_rectangle_exact ~min_rows zeros) );
+          ( "cover_bits",
+            fun () ->
+              same_float
+                (Rectangle.cover_lower_bound m ~exact:true)
+                (Oracles.cover_lower_bound_exact m) ) ])
+
+(* ------------------------------------------------------------------ *)
 (* Zmatrix determinants vs. cofactor expansion                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -773,6 +930,9 @@ let all () =
     exact_cc_sandwiched;
     exact_cc_lb_portfolio_sound;
     exact_cc_pooled_vs_sequential;
+    rank_bound_rank_vs_rational;
+    fooling_kernel_vs_reference;
+    rectangle_kernel_vs_reference;
     zmatrix_det_agreement;
     zmatrix_singular_batch;
     zmatrix_rank_vs_rational;

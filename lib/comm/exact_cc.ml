@@ -350,22 +350,15 @@ and eval_split ctx best r0 c0 r1 c1 =
 let rank_fooling_lower m =
   let r1 = Rank_bound.gf2_rank m in
   let r0 = Rank_bound.gf2_rank (Bm.complement m) in
-  let fool =
-    let tm =
-      Truth_matrix.build
-        (List.init (Bm.rows m) Fun.id)
-        (List.init (Bm.cols m) Fun.id)
-        (fun i j -> Bm.get m i j)
-    in
-    List.length (Fooling.greedy tm)
-  in
+  let fool = List.length (Fooling.greedy_bitmat m) in
   ceil_log2 (max r1 fool + r0)
 
 (* Mehlhorn–Schmidt over ℚ, both colors: the 1-leaves sum to M as
    rank-1 rational matrices, so 1-leaves >= rank_Q M; the 0-leaves sum
    to the complement likewise.  Rational rank dominates GF(2) rank, so
-   this frequently beats [rank_fooling_lower] — at the cost of exact
-   rational elimination. *)
+   this frequently beats [rank_fooling_lower].  [rational_rank] is a
+   native-int Bareiss elimination on boards up to side 22, so the cost
+   is a few microseconds, not exact rational arithmetic. *)
 let log_rank_lower m =
   ceil_log2
     (Rank_bound.rational_rank m + Rank_bound.rational_rank (Bm.complement m))

@@ -1,3 +1,5 @@
+module Bm = Commx_util.Bitmat
+
 type t = (int * int) list
 
 let is_fooling_set tm s =
@@ -13,35 +15,94 @@ let is_fooling_set tm s =
   in
   pairs s
 
-let compatible tm chosen (i, j) =
-  Truth_matrix.get tm i j
-  && List.for_all
-       (fun (i', j') ->
-         (not (Truth_matrix.get tm i j')) || not (Truth_matrix.get tm i' j))
-       chosen
+(* The greedy kernel.  The board is read once into a flat byte grid
+   ([cells.[i * nc + j]] is '\001' for a one) and the pairs chosen so
+   far live in two int arrays, rows in [ri] and columns in [cj].  A
+   fooling set never repeats a row or a column (two of its pairs on one
+   row would make both cross entries ones), so [min nr nc] slots
+   suffice. *)
+type grid = { nc : int; cells : Bytes.t }
 
-let greedy tm =
-  let chosen = ref [] in
-  for i = 0 to Truth_matrix.rows tm - 1 do
-    for j = 0 to Truth_matrix.cols tm - 1 do
-      if compatible tm !chosen (i, j) then chosen := (i, j) :: !chosen
+let read_grid m =
+  let nr = Bm.rows m and nc = Bm.cols m in
+  let cells = Bytes.make (nr * nc) '\000' in
+  for i = 0 to nr - 1 do
+    for j = 0 to nc - 1 do
+      if Bm.get m i j then Bytes.set cells ((i * nc) + j) '\001'
     done
   done;
-  List.rev !chosen
+  { nc; cells }
 
-let greedy_randomized g ?(restarts = 16) tm =
-  let nr = Truth_matrix.rows tm and nc = Truth_matrix.cols tm in
-  let all = Array.init (nr * nc) (fun x -> (x / nc, x mod nc)) in
-  let best = ref (greedy tm) in
-  for _ = 1 to restarts do
-    Commx_util.Prng.shuffle g all;
-    let chosen = ref [] in
-    Array.iter
-      (fun p -> if compatible tm !chosen p then chosen := p :: !chosen)
-      all;
-    if List.length !chosen > List.length !best then best := !chosen
+let one g x = Bytes.get g.cells x = '\001'
+
+(* Offer cell [x] to the [n] pairs in [ri]/[cj]; the new pair count. *)
+let offer g ri cj n x =
+  if not (one g x) then n
+  else begin
+    let nc = g.nc in
+    let i = x / nc and j = x mod nc in
+    let k = ref 0 in
+    while !k < n && not (one g ((i * nc) + cj.(!k)) && one g ((ri.(!k) * nc) + j)) do
+      incr k
+    done;
+    if !k < n then n
+    else begin
+      ri.(n) <- i;
+      cj.(n) <- j;
+      n + 1
+    end
+  end
+
+(* The pairs as a list, in insertion order or newest first. *)
+let pairs ri cj n ~newest_first =
+  let acc = ref [] in
+  if newest_first then
+    for k = 0 to n - 1 do
+      acc := (ri.(k), cj.(k)) :: !acc
+    done
+  else
+    for k = n - 1 downto 0 do
+      acc := (ri.(k), cj.(k)) :: !acc
+    done;
+  !acc
+
+let scratch m = Array.make (min (Bm.rows m) (Bm.cols m)) 0
+
+(* Row-major scan: the deterministic greedy pass. *)
+let scan g ri cj =
+  let n = ref 0 in
+  for x = 0 to Bytes.length g.cells - 1 do
+    n := offer g ri cj !n x
   done;
-  !best
+  !n
+
+let greedy_bitmat m =
+  let g = read_grid m in
+  let ri = scratch m and cj = scratch m in
+  pairs ri cj (scan g ri cj) ~newest_first:false
+
+let greedy tm = greedy_bitmat tm.Truth_matrix.values
+
+(* Each restart reshuffles the previous order in place, as one
+   cumulative permutation of the cell indices. *)
+let greedy_randomized prng ?(restarts = 16) tm =
+  let m = tm.Truth_matrix.values in
+  let g = read_grid m in
+  let best_r = scratch m and best_c = scratch m in
+  let cur_r = scratch m and cur_c = scratch m in
+  let best_n = ref (scan g best_r best_c) and newest_first = ref false in
+  let order = Array.init (Bytes.length g.cells) Fun.id in
+  for _ = 1 to restarts do
+    Commx_util.Prng.shuffle prng order;
+    let n = Array.fold_left (offer g cur_r cur_c) 0 order in
+    if n > !best_n then begin
+      Array.blit cur_r 0 best_r 0 n;
+      Array.blit cur_c 0 best_c 0 n;
+      best_n := n;
+      newest_first := true
+    end
+  done;
+  pairs best_r best_c !best_n ~newest_first:!newest_first
 
 let diagonal_candidate tm =
   let n = min (Truth_matrix.rows tm) (Truth_matrix.cols tm) in

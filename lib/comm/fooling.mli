@@ -19,9 +19,16 @@ val greedy : ('a, 'b) Truth_matrix.t -> t
 (** Deterministic greedy construction scanning ones in row-major
     order; always valid, not necessarily maximal. *)
 
+val greedy_bitmat : Commx_util.Bitmat.t -> t
+(** {!greedy} on a bare 0/1 matrix. *)
+
 val greedy_randomized :
   Commx_util.Prng.t -> ?restarts:int -> ('a, 'b) Truth_matrix.t -> t
-(** Best of several randomized greedy passes. *)
+(** Best of {!greedy} and [restarts] greedy passes over successive
+    shuffles of the cells (one {!Commx_util.Prng.shuffle} of all
+    [rows * cols] cells per restart); ties keep the earlier set.  The
+    deterministic pass is returned in scan order, a restart's set
+    newest pair first. *)
 
 val diagonal_candidate : ('a, 'b) Truth_matrix.t -> t
 (** The diagonal \{(i, i)\} filtered to one entries — the natural

@@ -11,7 +11,21 @@ val gf2_rank : Commx_util.Bitmat.t -> int
 (** Rank of the 0/1 truth matrix over GF(2). *)
 
 val rational_rank : Commx_util.Bitmat.t -> int
-(** Rank of the 0/1 truth matrix over ℚ (>= GF(2) rank). *)
+(** Rank of the 0/1 truth matrix over ℚ (>= GF(2) rank).
+
+    When the smaller side is at most 22 this is one fraction-free
+    (Bareiss) elimination on native ints, with no bignum or rational
+    arithmetic.  Exactness rests on Hadamard's inequality: every
+    intermediate of a Bareiss elimination is a minor of the input, and
+    a k x k minor of a 0/1 matrix is at most (k+1)^((k+1)/2) / 2^k in
+    magnitude.  At k = 22 that is below 2^30.1, so each product of two
+    minors stays below 2^60.1 and their difference below 2^61.1, inside
+    OCaml's 63-bit ints; at k = 23 the bound passes 2^32 and a product
+    could overflow.  The limit is therefore a correctness guard, not a
+    tuning knob.  Past it the rank comes from
+    {!Commx_linalg.Zmatrix.det_rank} (bignum Bareiss), never from
+    elimination over ℚ: on a 64 x 64 board, the largest the serve wire
+    accepts, that is tens of milliseconds against most of a second. *)
 
 val log_rank_bound : Commx_util.Bitmat.t -> float
 (** [log2 (rational rank)], a communication lower bound in bits

@@ -32,46 +32,95 @@ let count_ones_rectangle_rows m rows_sel =
   done;
   Array.of_list !acc
 
-(* Enumerate over subsets of the smaller dimension: for a row subset S,
-   the best rectangle with that row set uses all columns that are ones
-   on every row of S. *)
-let max_one_rectangle_exact ?(min_rows = 1) m =
-  (* The transpose speed-up enumerates the smaller dimension, but a
-     min_rows constraint refers to the original rows, so it disables
-     the swap. *)
-  let transposed = min_rows <= 1 && Bm.rows m > Bm.cols m in
-  let work = if transposed then Bm.transpose m else m in
-  let nr = Bm.rows work in
-  if nr > 22 then
+let exact_side_limit = 22
+
+(* The lines the exact search enumerates, as [nw]-word bitsets of
+   length [len] in one flat array: the rows of [m], or its columns when
+   [transposed], with every cell flipped when [zeros]. *)
+type lines = { nl : int; len : int; nw : int; words : int array }
+
+let bpw = Bv.bits_per_word
+
+let read_lines m ~transposed ~zeros =
+  let nl = if transposed then Bm.cols m else Bm.rows m in
+  if nl > exact_side_limit then
     invalid_arg "Rectangle.max_one_rectangle_exact: dimension too large";
-  Tel.add candidates_counter (1 lsl nr);
-  let best = ref { row_set = [||]; col_set = [||] } in
-  let best_area = ref 0 in
-  (* Row bitsets as Bitvecs for fast intersection. *)
-  let row_bits = Array.init nr (fun i -> Bm.row work i) in
-  Commx_util.Combi.iter_subsets nr (fun subset ->
-      let rows_sel = Array.of_list subset in
-      let k = Array.length rows_sel in
-      if k >= min_rows && k > 0 then begin
-        let inter = Bv.copy row_bits.(rows_sel.(0)) in
-        Array.iter (fun i -> if i <> rows_sel.(0) then Bv.and_into inter row_bits.(i)) rows_sel;
-        let ncols = Bv.popcount inter in
-        if k * ncols > !best_area then begin
-          best_area := k * ncols;
-          let cols_sel =
-            Array.of_list (List.rev (Bv.fold_set_bits (fun j acc -> j :: acc) inter []))
-          in
-          best := { row_set = rows_sel; col_set = cols_sel }
+  let len = if transposed then Bm.rows m else Bm.cols m in
+  let nw = (len + bpw - 1) / bpw in
+  let words = Array.make (nl * nw) 0 in
+  for l = 0 to nl - 1 do
+    for x = 0 to len - 1 do
+      let v = if transposed then Bm.get m x l else Bm.get m l x in
+      if v <> zeros then begin
+        let w = (l * nw) + (x / bpw) in
+        words.(w) <- words.(w) lor (1 lsl (x mod bpw))
+      end
+    done
+  done;
+  { nl; len; nw; words }
+
+(* Largest [k * |common columns|] over line subsets of size k >=
+   [min_rows], depth first.  [go b k p] extends the [k] lines chosen so
+   far (held in [stack], their [p] common columns at level [k] of
+   [inter]) by subsets of lines [0 .. b-1]: first without line [b-1],
+   then with it.  That visits subsets in increasing bitmask order, the
+   order of [Combi.iter_subsets], and only a strictly larger area
+   replaces the best, so ties resolve to the same rectangle.  Every
+   subset below a node has area at most [(k + b) * p], so a node that
+   cannot beat the best is skipped whole. *)
+let max_rectangle ~min_rows { nl; len; nw; words } =
+  Tel.add candidates_counter (1 lsl nl);
+  let inter = Array.make ((nl + 1) * nw) 0 in
+  for w = 0 to nw - 1 do
+    inter.(w) <- (1 lsl min bpw (len - (w * bpw))) - 1
+  done;
+  let stack = Array.make nl 0 in
+  let best = ref { row_set = [||]; col_set = [||] } and best_area = ref 0 in
+  let record k p =
+    let cols = Array.make p 0 and c = ref 0 in
+    for w = 0 to nw - 1 do
+      let v = inter.((k * nw) + w) in
+      for x = 0 to bpw - 1 do
+        if (v lsr x) land 1 = 1 then begin
+          cols.(!c) <- (w * bpw) + x;
+          incr c
         end
-      end);
-  if transposed then
-    { row_set = !best.col_set; col_set = !best.row_set }
-  else !best
+      done
+    done;
+    best := { row_set = Array.init k (fun t -> stack.(k - 1 - t)); col_set = cols }
+  in
+  let rec go b k p =
+    if b > 0 && (k + b) * p > !best_area then begin
+      go (b - 1) k p;
+      let l = b - 1 and k' = k + 1 in
+      let p' = ref 0 in
+      for w = 0 to nw - 1 do
+        let v = inter.((k * nw) + w) land words.((l * nw) + w) in
+        inter.((k' * nw) + w) <- v;
+        p' := !p' + Bv.popcount_int v
+      done;
+      stack.(k) <- l;
+      if k' >= min_rows && k' * !p' > !best_area then begin
+        best_area := k' * !p';
+        record k' !p'
+      end;
+      go (b - 1) k' !p'
+    end
+  in
+  go nl 0 len;
+  !best
 
-let complement m = Bm.init (Bm.rows m) (Bm.cols m) (fun i j -> not (Bm.get m i j))
+(* The transpose speed-up enumerates the smaller dimension, but a
+   min_rows constraint refers to the original rows, so it disables the
+   swap. *)
+let max_exact ?(min_rows = 1) ~zeros m =
+  let transposed = min_rows <= 1 && Bm.rows m > Bm.cols m in
+  let r = max_rectangle ~min_rows (read_lines m ~transposed ~zeros) in
+  if transposed then { row_set = r.col_set; col_set = r.row_set } else r
 
-let max_zero_rectangle_exact ?min_rows m =
-  max_one_rectangle_exact ?min_rows (complement m)
+let max_one_rectangle_exact ?min_rows m = max_exact ?min_rows ~zeros:false m
+
+let max_zero_rectangle_exact ?min_rows m = max_exact ?min_rows ~zeros:true m
 
 let max_one_rectangle_greedy g ?(restarts = 32) m =
   let nr = Bm.rows m and nc = Bm.cols m in
@@ -126,8 +175,7 @@ let cover_lower_bound m ~exact =
     else begin
       let g = Prng.create 42 in
       ( max_one_rectangle_greedy g m,
-        let r = max_one_rectangle_greedy g (complement m) in
-        r )
+        max_one_rectangle_greedy g (Bm.complement m) )
     end
   in
   let parts_for count rect =

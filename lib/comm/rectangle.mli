@@ -20,8 +20,13 @@ val is_monochromatic : Commx_util.Bitmat.t -> rect -> bool option
 
 val max_one_rectangle_exact : ?min_rows:int -> Commx_util.Bitmat.t -> rect
 (** Largest-area all-ones rectangle with at least [min_rows] rows
-    (default 1), by enumerating subsets of the smaller dimension.
-    @raise Invalid_argument when the smaller dimension exceeds 22. *)
+    (default 1), by a depth-first enumeration of the subsets of the
+    smaller dimension (of the rows when [min_rows > 1]) that keeps one
+    word-packed column intersection per depth and skips branches that
+    cannot beat the best area so far.  Among rectangles of the largest
+    area it returns the first in increasing bitmask order of the
+    enumerated lines.
+    @raise Invalid_argument when the enumerated dimension exceeds 22. *)
 
 val max_one_rectangle_greedy :
   Commx_util.Prng.t -> ?restarts:int -> Commx_util.Bitmat.t -> rect
@@ -29,7 +34,8 @@ val max_one_rectangle_greedy :
     local improvement); a lower bound witness on the true maximum. *)
 
 val max_zero_rectangle_exact : ?min_rows:int -> Commx_util.Bitmat.t -> rect
-(** Same, for all-zeros rectangles (complement trick). *)
+(** Same, for all-zeros rectangles (the same enumeration over the
+    complemented lines). *)
 
 val cover_lower_bound : Commx_util.Bitmat.t -> exact:bool -> float
 (** log2 of the rectangle-partition lower bound

@@ -234,6 +234,30 @@ let test_rect_known () =
   Alcotest.(check int) "identity zeros" 6
     (Rect.area (Rect.max_zero_rectangle_exact id))
 
+(* The enumerator's own guard is the documented one: 21 and 22
+   enumerated lines run, 23 raise the Rectangle message (not a
+   Combi.iter_subsets failure from an inner enumerator's lower cap). *)
+let test_rect_size_guard () =
+  let g = Prng.create 21 in
+  List.iter
+    (fun (r, c) ->
+      let m = Bm.init r c (fun _ _ -> Prng.int g 10 < 6) in
+      let rect = Rect.max_one_rectangle_exact m in
+      Alcotest.(check bool)
+        (Printf.sprintf "%dx%d all-ones rectangle" r c)
+        true
+        (Rect.area rect > 0 && Rect.is_monochromatic m rect = Some true))
+    [ (21, 23); (23, 21); (22, 30) ];
+  let too_large = Invalid_argument "Rectangle.max_one_rectangle_exact: dimension too large" in
+  List.iter
+    (fun (r, c) ->
+      let m = Bm.init r c (fun _ _ -> Prng.bool g) in
+      Alcotest.check_raises (Printf.sprintf "%dx%d raises" r c) too_large (fun () ->
+          ignore (Rect.max_one_rectangle_exact m));
+      Alcotest.check_raises (Printf.sprintf "%dx%d zeros raises" r c) too_large
+        (fun () -> ignore (Rect.max_zero_rectangle_exact m)))
+    [ (23, 23); (23, 40) ]
+
 let test_cover_bound_identity () =
   (* For EQ on m bits the partition bound is >= 2^m (ones alone) *)
   let m = Bm.identity 16 in
@@ -815,6 +839,15 @@ let test_rank_gf2_vs_q () =
   Alcotest.(check int) "gf2" 2 (Rank_bound.gf2_rank m);
   Alcotest.(check int) "q" 3 (Rank_bound.rational_rank m)
 
+(* Past the native limit of 22 the rank comes from bignum Bareiss:
+   identity 27 plus three repeated rows, and the 64x64 wire-limit
+   identity. *)
+let test_rank_past_native_limit () =
+  let m = Bm.init 30 30 (fun i j -> if i < 27 then i = j else j = i - 27) in
+  Alcotest.(check int) "30x30 of rank 27" 27 (Rank_bound.rational_rank m);
+  Alcotest.(check int) "64x64 identity" 64
+    (Rank_bound.rational_rank (Bm.identity 64))
+
 let prop_gf2_le_q params =
   let m = mat_of params in
   Rank_bound.gf2_rank m <= Rank_bound.rational_rank m
@@ -846,6 +879,7 @@ let () =
           Alcotest.test_case "restrict" `Quick test_truth_matrix_restrict ] );
       ( "rectangle",
         [ Alcotest.test_case "known maxima" `Quick test_rect_known;
+          Alcotest.test_case "size guard at 22" `Quick test_rect_size_guard;
           Alcotest.test_case "identity cover bound" `Quick
             test_cover_bound_identity;
           qtest "exact = brute force" arb_small_bitmat
@@ -929,4 +963,5 @@ let () =
         [ Alcotest.test_case "identity analysis" `Quick
             test_rank_bounds_identity;
           Alcotest.test_case "GF(2) vs Q gap" `Quick test_rank_gf2_vs_q;
+          Alcotest.test_case "rank past the native limit" `Quick test_rank_past_native_limit;
           qtest "gf2 <= q" arb_small_bitmat prop_gf2_le_q ] ) ]
